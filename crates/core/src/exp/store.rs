@@ -543,6 +543,39 @@ mod tests {
     }
 
     #[test]
+    fn multibyte_escaped_strings_and_large_sample_vectors_round_trip() {
+        let path = tmp("text-layer.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut rec = record(4).with_host("hôte-東京 \"ci\"\\\t😀\u{1}".into());
+        rec.report.label = "CATA+RSU «é» 日本語 \"q\" a\\b\n\r\u{1f}😀".into();
+        for i in 0..200_000u64 {
+            let ps = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 64);
+            rec.report
+                .lock_waits
+                .record(cata_sim::SimDuration::from_ps(ps));
+        }
+        let line = serde_json::to_string(&rec).unwrap();
+        assert!(
+            line.len() > 1 << 20,
+            "the record spans {} bytes",
+            line.len()
+        );
+        ResultsStore::open(&path).unwrap().append(&rec).unwrap();
+        let (loaded, truncated) = ResultsStore::load(&path).unwrap();
+        assert!(!truncated);
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].host, rec.host);
+        assert_eq!(loaded[0].report.label, rec.report.label);
+        assert_eq!(
+            serde_json::to_string(&loaded[0].report).unwrap(),
+            serde_json::to_string(&rec.report).unwrap(),
+            "the report must re-serialize byte-identically"
+        );
+        assert_eq!(serde_json::to_string(&loaded[0]).unwrap(), line);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{line}\n"));
+    }
+
+    #[test]
     fn torn_tail_is_discarded_and_truncated_on_open() {
         let path = tmp("torn.jsonl");
         let _ = std::fs::remove_file(&path);

@@ -435,9 +435,14 @@ mod tests {
 
     fn progress_lines(shard: u64, events: Vec<ProgressEvent>) -> Vec<String> {
         // Round-trip through a real writer so tests exercise the exact
-        // on-disk shape.
-        let dir =
-            std::env::temp_dir().join(format!("cata-obs-state-{shard}-{}", std::process::id()));
+        // on-disk shape. Tests run in parallel and several use the same
+        // shard, so every call gets its own directory.
+        static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "cata-obs-state-{shard}-{}-{call}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.progress.jsonl");
         let _ = std::fs::remove_file(&path);
@@ -447,6 +452,7 @@ mod tests {
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
         text.lines().map(|l| l.to_string()).collect()
     }
 
