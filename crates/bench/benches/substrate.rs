@@ -5,7 +5,7 @@
 use cata_core::native::{NativeRuntime, RsmMode};
 use cata_sim::event::EventQueue;
 use cata_sim::progress::{ExecProfile, RunningTask};
-use cata_sim::time::{Frequency, SimTime};
+use cata_sim::time::{Frequency, SimDuration, SimTime};
 use cata_tdg::bottom_level::BottomLevels;
 use cata_tdg::TaskGraph;
 use cata_workloads::micro;
@@ -22,6 +22,28 @@ fn event_queue(c: &mut Criterion) {
             let mut sum = 0u64;
             while let Some((_, e)) = q.pop() {
                 sum = sum.wrapping_add(e);
+            }
+            black_box(sum)
+        });
+    });
+    // The engines' own pattern: a shallow queue in which each of 32 cores
+    // keeps one pending event, and popping a core's event schedules that
+    // core's next one, 1–10 µs later.
+    c.bench_function("substrate/event_queue_hold_32", |b| {
+        let mut q = EventQueue::with_capacity(32);
+        b.iter(|| {
+            q.reset();
+            for core in 0..32u64 {
+                q.push(SimTime::from_ns(core * 37 % 100), core);
+            }
+            let mut sum = 0u64;
+            for _ in 0..1024 {
+                let (t, core) = q.pop().expect("every core keeps one event");
+                sum = sum.wrapping_add(core);
+                q.push(
+                    t + SimDuration::from_ns(1_000 + (core * 7919 + sum) % 9_000),
+                    core,
+                );
             }
             black_box(sum)
         });

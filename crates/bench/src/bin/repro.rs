@@ -723,7 +723,8 @@ fn print_help() {
          \x20             [--backend sim|native|both] [--native-energy auto|model]\n\
          \x20             [--shard K/N] [--shard-order striped|snake] [--store FILE.jsonl]\n\
          \x20             [--calibrate-costs PRIOR.jsonl]  (fit snake costs from wall times)\n\
-         \x20             [--event-queue heap|calendar-wheel]  (run/preset/spec/serve)\n\
+         \x20             [--event-queue heap|calendar-wheel]  (run/preset/spec/serve;\n\
+         \x20             default heap)\n\
          \x20             [--tdg FILE.tdg.json]  (preset/spec: replay this TDG as the workload)\n\
          \x20         serve LABEL|SPEC.json [--rate R | --tape FILE.tape.jsonl]\n\
          \x20             [--arrival poisson|fixed] [--duration T] [--admission P]\n\
@@ -735,7 +736,7 @@ fn print_help() {
          \x20             [--arbitration fifo|crit-first|round-robin]\n\
          \x20             [--mem-axis]  (run/preset: add the memory-free twin cells)\n\
          \x20         env: CATA_EVENT_QUEUE=heap|calendar-wheel  (backend when no\n\
-         \x20             --event-queue flag or spec field pins one)\n\
+         \x20             --event-queue flag or spec field pins one; default heap)\n\
          \x20         export [SPEC.json] [--out FILE.tdg.json]   (workload -> TDG file)\n\
          \x20         record LABEL|SPEC.json [--backend sim|native] [--out FILE.tdg.json]\n\
          \x20         merge STORE.jsonl... [--out FILE] [--baseline FILE] [--min-ratio R]\n\

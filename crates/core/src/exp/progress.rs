@@ -392,9 +392,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cata-progress-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        cata_sim::scratch_dir("progress").join(name)
     }
 
     #[test]

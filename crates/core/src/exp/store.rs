@@ -509,9 +509,7 @@ mod tests {
     }
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cata-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        cata_sim::scratch_dir("store").join(name)
     }
 
     #[test]

@@ -337,7 +337,9 @@ struct ServiceEngine<'g> {
     events: EventQueue<SEv>,
     cores: Vec<CoreCtl<'g>>,
     idle: IdleIndex,
-    idle_dirty: bool,
+    /// Cores that entered the idle loop since the last dispatch; their
+    /// decel debounce / halt timers still need arming.
+    newly_idle: Vec<u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Criticality per global task id (sized `slots.len() · stride`).
@@ -403,8 +405,10 @@ impl<'g> ServiceEngine<'g> {
             MemState::new(spec, policy, n_cores)
         });
 
+        // A few pending events per core (as in the closed engine), plus
+        // the next arrival.
         let mut events = EventQueue::with_backend(cfg.event_queue);
-        events.reserve(4096.min(records.len() * 4 + 64));
+        events.reserve(n_cores * 4 + 1);
         let mut idle = IdleIndex::default();
         idle.reset(n_cores, caps.prefer_fast, &is_fast_static);
 
@@ -427,7 +431,8 @@ impl<'g> ServiceEngine<'g> {
                 })
                 .collect(),
             idle,
-            idle_dirty: true,
+            // Every core starts in the idle loop.
+            newly_idle: (0..n_cores as u32).collect(),
             slots: Vec::new(),
             free: Vec::new(),
             crit: Vec::new(),
@@ -753,41 +758,51 @@ impl<'g> ServiceEngine<'g> {
                 break;
             }
         }
-        if !self.idle_dirty {
-            return;
-        }
-        self.idle_dirty = false;
-        for i in 0..self.cores.len() {
-            let c = &mut self.cores[i];
-            if !matches!(c.run, CoreRun::Idle) {
-                continue;
+        if !self.newly_idle.is_empty() {
+            // Ascending core order, as a scan over every core would push
+            // (a core listed twice is armed once: the flags guard it). The
+            // list holds at most one core after the first dispatch.
+            if self.newly_idle.len() > 1 {
+                self.newly_idle.sort_unstable();
             }
-            if !c.idle_notified {
-                c.idle_notified = true;
-                let epoch = c.epoch;
-                self.events.push(
-                    now + self.cfg.idle_decel_delay,
-                    SEv::IdleDecel {
-                        core: i as u32,
-                        epoch,
-                    },
-                );
-            }
-            if let Some(delay) = self.cfg.idle_to_halt {
-                let c = &mut self.cores[i];
-                if !c.halt_scheduled {
-                    c.halt_scheduled = true;
-                    let epoch = c.epoch;
+            for &i in &self.newly_idle {
+                let c = &mut self.cores[i as usize];
+                // Skip a listed core this dispatch already put to work.
+                if !matches!(c.run, CoreRun::Idle) {
+                    continue;
+                }
+                if !c.idle_notified {
+                    c.idle_notified = true;
                     self.events.push(
-                        now + delay,
-                        SEv::IdleHalt {
-                            core: i as u32,
-                            epoch,
+                        now + self.cfg.idle_decel_delay,
+                        SEv::IdleDecel {
+                            core: i,
+                            epoch: c.epoch,
                         },
                     );
                 }
+                if let Some(delay) = self.cfg.idle_to_halt {
+                    if !c.halt_scheduled {
+                        c.halt_scheduled = true;
+                        self.events.push(
+                            now + delay,
+                            SEv::IdleHalt {
+                                core: i,
+                                epoch: c.epoch,
+                            },
+                        );
+                    }
+                }
             }
+            self.newly_idle.clear();
         }
+        // Every entry into the idle loop must be on the list: no idle core
+        // may be left without its timers.
+        debug_assert!(
+            self.cores.iter().all(|c| !matches!(c.run, CoreRun::Idle)
+                || (c.idle_notified && (c.halt_scheduled || self.cfg.idle_to_halt.is_none()))),
+            "an idle core missed its idle-timer arming"
+        );
     }
 
     fn assign(&mut self, core: CoreId, task: TaskId, now: SimTime) {
@@ -1121,7 +1136,7 @@ impl<'g> ServiceEngine<'g> {
         debug_assert!(matches!(ctl.run, CoreRun::Epilogue));
         ctl.run = CoreRun::Idle;
         self.idle.push(core);
-        self.idle_dirty = true;
+        self.newly_idle.push(core.0);
         self.machine.set_activity(core, now, Activity::Idle);
     }
 
@@ -1300,7 +1315,7 @@ impl<'g> ServiceEngine<'g> {
         ctl.halt_scheduled = false;
         ctl.idle_notified = false;
         self.idle.push(core);
-        self.idle_dirty = true;
+        self.newly_idle.push(core.0);
         self.machine.set_activity(core, now, Activity::Idle);
     }
 }

@@ -492,9 +492,7 @@ mod tests {
 
     #[test]
     fn load_includes_path_in_errors() {
-        let dir = std::env::temp_dir().join(format!("cata-tape-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = cata_sim::scratch_dir("tape-test");
         let missing = dir.join("nope.tape.jsonl");
         let err = TrafficTape::load(&missing).unwrap_err().to_string();
         assert!(err.contains("nope.tape.jsonl"), "{err}");

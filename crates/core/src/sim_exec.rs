@@ -592,9 +592,9 @@ struct Engine<'g> {
     /// Available (idle/halted) cores in dispatch order; maintained
     /// incrementally so dispatch never builds or sorts a candidate list.
     idle: IdleIndex,
-    /// A core entered the idle loop since the last dispatch; its decel
-    /// debounce / halt timers still need arming.
-    idle_dirty: bool,
+    /// Cores that entered the idle loop since the last dispatch; their
+    /// decel debounce / halt timers still need arming.
+    newly_idle: Vec<u32>,
     /// Remaining unfinished predecessors per task.
     indegree: Vec<u32>,
     /// Tasks `0..submitted` are visible to the runtime.
@@ -653,12 +653,13 @@ impl<'g> Engine<'g> {
             mut crit,
             mut idle,
         } = scratch;
-        // Pre-size from the graph: ~4 events per task in flight worst-case
-        // (submit, begin, milestone, free). Reused buffers keep their
-        // allocation from the previous run on this thread.
+        // Pre-size from the machine: each core keeps a few events pending
+        // (begin or milestone, free, settle, idle timers), plus the
+        // master's next submission. Reused buffers keep their allocation
+        // from the previous run on this thread.
         events.ensure_backend(cfg.event_queue);
         events.reset();
-        events.reserve(n * 4);
+        events.reserve(n_cores * 4 + 1);
         view.rebuild(graph);
         indegree.clear();
         indegree.extend_from_slice(view.pred_counts());
@@ -686,7 +687,8 @@ impl<'g> Engine<'g> {
                 })
                 .collect(),
             idle,
-            idle_dirty: true,
+            // Every core starts in the idle loop.
+            newly_idle: (0..n_cores as u32).collect(),
             indegree,
             submitted: 0,
             crit,
@@ -955,7 +957,7 @@ impl<'g> Engine<'g> {
         ctl.halt_scheduled = false;
         ctl.idle_notified = false;
         self.idle.push(core);
-        self.idle_dirty = true;
+        self.newly_idle.push(core.0);
         self.machine.set_activity(core, now, Activity::Idle);
     }
 
@@ -1028,44 +1030,52 @@ impl<'g> Engine<'g> {
         // Cores that entered the idle loop since the last dispatch: arm the
         // CATA deceleration debounce (§V-B deceleration fires only if the
         // core is *still* idle after the delay) and the OS halt timer if
-        // configured. Skipped outright unless a core went idle (the flag
-        // pass below is O(cores), and events must be pushed in core order
-        // to keep the FIFO tie-break bit-identical with the old code).
-        if !self.idle_dirty {
-            return;
-        }
-        self.idle_dirty = false;
-        for i in 0..self.cores.len() {
-            let c = &mut self.cores[i];
-            if !matches!(c.run, CoreRun::Idle) {
-                continue;
+        // configured. Only the cores on the `newly_idle` list are visited.
+        if !self.newly_idle.is_empty() {
+            // Ascending core order, as a scan over every core would push
+            // (a core listed twice is armed once: the flags guard it). The
+            // list holds at most one core after the first dispatch.
+            if self.newly_idle.len() > 1 {
+                self.newly_idle.sort_unstable();
             }
-            if !c.idle_notified {
-                c.idle_notified = true;
-                let epoch = c.epoch;
-                self.events.push(
-                    now + self.cfg.idle_decel_delay,
-                    Ev::IdleDecel {
-                        core: i as u32,
-                        epoch,
-                    },
-                );
-            }
-            if let Some(delay) = self.cfg.idle_to_halt {
-                let c = &mut self.cores[i];
-                if !c.halt_scheduled {
-                    c.halt_scheduled = true;
-                    let epoch = c.epoch;
+            for &i in &self.newly_idle {
+                let c = &mut self.cores[i as usize];
+                // Skip a listed core this dispatch already put to work.
+                if !matches!(c.run, CoreRun::Idle) {
+                    continue;
+                }
+                if !c.idle_notified {
+                    c.idle_notified = true;
                     self.events.push(
-                        now + delay,
-                        Ev::IdleHalt {
-                            core: i as u32,
-                            epoch,
+                        now + self.cfg.idle_decel_delay,
+                        Ev::IdleDecel {
+                            core: i,
+                            epoch: c.epoch,
                         },
                     );
                 }
+                if let Some(delay) = self.cfg.idle_to_halt {
+                    if !c.halt_scheduled {
+                        c.halt_scheduled = true;
+                        self.events.push(
+                            now + delay,
+                            Ev::IdleHalt {
+                                core: i,
+                                epoch: c.epoch,
+                            },
+                        );
+                    }
+                }
             }
+            self.newly_idle.clear();
         }
+        // Every entry into the idle loop must be on the list: no idle core
+        // may be left without its timers.
+        debug_assert!(
+            self.cores.iter().all(|c| !matches!(c.run, CoreRun::Idle)
+                || (c.idle_notified && (c.halt_scheduled || self.cfg.idle_to_halt.is_none()))),
+            "an idle core missed its idle-timer arming"
+        );
     }
 
     fn assign(&mut self, core: CoreId, task: TaskId, now: SimTime) {
@@ -1377,7 +1387,7 @@ impl<'g> Engine<'g> {
         // Cores re-enter the idle index in completion order — the same
         // FIFO "longest-idle pops first" order the old idle stamps encoded.
         self.idle.push(core);
-        self.idle_dirty = true;
+        self.newly_idle.push(core.0);
         self.machine.set_activity(core, now, Activity::Idle);
         // The dispatch loop after this event hands out new work (or arms the
         // idle-halt timer).

@@ -294,8 +294,7 @@ mod tests {
 
     #[test]
     fn sysfs_round_trips_on_fake_tree() {
-        let dir = std::env::temp_dir().join(format!("cata-cpufreq-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = cata_sim::scratch_dir("cpufreq-test");
         SysfsDvfs::create_fake_tree(&dir, 2, 1_000_000).unwrap();
         let b = SysfsDvfs::with_root(&dir, 2);
         assert_eq!(b.get_speed(0).unwrap(), 1_000_000);

@@ -437,15 +437,8 @@ mod tests {
         // Round-trip through a real writer so tests exercise the exact
         // on-disk shape. Tests run in parallel and several use the same
         // shard, so every call gets its own directory.
-        static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "cata-obs-state-{shard}-{}-{call}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = cata_sim::scratch_dir(&format!("obs-state-{shard}"));
         let path = dir.join("p.progress.jsonl");
-        let _ = std::fs::remove_file(&path);
         let w = ProgressWriter::open(&path, shard).unwrap();
         for e in events {
             w.emit(e).unwrap();

@@ -243,10 +243,7 @@ mod tests {
     use cata_core::exp::{ProgressEvent, ProgressWriter};
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cata-obs-watch-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+        cata_sim::scratch_dir(&format!("obs-watch-{tag}"))
     }
 
     #[test]

@@ -126,8 +126,7 @@ mod tests {
     use super::*;
 
     fn fake_tree(name: &str, packages: &[(u64, u64)]) -> PathBuf {
-        let root = std::env::temp_dir().join(format!("cata-rapl-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = cata_sim::scratch_dir(&format!("rapl-{name}"));
         for (i, (uj, range)) in packages.iter().enumerate() {
             let dir = root.join(format!("intel-rapl:{i}"));
             std::fs::create_dir_all(&dir).unwrap();

@@ -12,8 +12,10 @@
 //! priority queue yields the identical event sequence. That freedom is
 //! exposed as pluggable backends behind the [`EventSource`] trait:
 //!
-//! - [`HeapQueue`]: a binary heap — O(log n) push/pop, no tuning, the
-//!   reference implementation.
+//! - [`HeapQueue`]: a 4-ary heap over packed `(time, seq)` keys —
+//!   O(log n) push/pop, no tuning. The default: the engines keep a
+//!   shallow queue (a few pending events per core), where a short heap
+//!   beats the wheel's bucket bookkeeping.
 //! - [`CalendarWheel`]: a calendar queue (Brown 1988) — O(1) amortized
 //!   push/pop for the near-monotone event streams discrete-event
 //!   simulation produces, self-tuning bucket width and count.
@@ -25,8 +27,7 @@
 //! tests pin that.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::str::FromStr;
 
 /// The common surface of an event-queue backend.
@@ -73,10 +74,10 @@ pub trait EventSource<E> {
 /// Which event-queue backend an engine should run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EventBackend {
-    /// Binary-heap reference backend (`O(log n)` per op).
-    Heap,
-    /// Calendar-queue backend (`O(1)` amortized per op). The default.
+    /// 4-ary heap backend (`O(log n)` per op). The default.
     #[default]
+    Heap,
+    /// Calendar-queue backend (`O(1)` amortized per op).
     CalendarWheel,
 }
 
@@ -113,62 +114,44 @@ impl std::fmt::Display for EventBackend {
     }
 }
 
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
+/// Children per heap node. A 4-ary heap is half as deep as a binary one,
+/// and a node's four child keys are 64 contiguous bytes.
+const HEAP_ARITY: usize = 4;
 
-// BinaryHeap is a max-heap; invert the ordering to pop the earliest
-// (time, seq) first.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-/// The binary-heap backend: the original `EventQueue` implementation,
-/// kept as the zero-tuning reference the wheel is checked against.
+/// The heap backend (the default): a 4-ary implicit min-heap over packed
+/// `(time, seq)` keys.
+///
+/// Each pending event's key is `(time_ps << 64) | seq` in one `u128`, so
+/// key order *is* the `(time, push-order)` delivery order, and keys are
+/// unique (`seq` never repeats between resets). The keys live in their
+/// own array, the payloads in a parallel one: sifts compare keys only and
+/// move a hole instead of swapping, so each level costs one key and one
+/// payload copy.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    keys: Vec<u128>,
+    payloads: Vec<E>,
     seq: u64,
     /// Time of the last popped event; used to detect causality violations.
     now: SimTime,
 }
 
+#[inline]
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_ps((key >> 64) as u64)
+}
+
 impl<E> HeapQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         HeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            keys: Vec::with_capacity(cap),
+            payloads: Vec::with_capacity(cap),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -181,31 +164,89 @@ impl<E> Default for HeapQueue<E> {
     }
 }
 
-impl<E> EventSource<E> for HeapQueue<E> {
+impl<E: Copy> EventSource<E> for HeapQueue<E> {
+    #[inline]
     fn push(&mut self, time: SimTime, payload: E) {
         assert!(
             time >= self.now,
             "event scheduled in the past: {time} < now {now}",
             now = self.now
         );
-        let entry = Entry {
-            time,
-            seq: self.seq,
-            payload,
-        };
+        let key = (u128::from(time.as_ps()) << 64) | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(entry);
+        // Open a hole at the new leaf and move it up past every larger
+        // parent.
+        let mut hole = self.keys.len();
+        self.keys.push(key);
+        self.payloads.push(payload);
+        while hole > 0 {
+            let parent = (hole - 1) / HEAP_ARITY;
+            let pk = self.keys[parent];
+            if pk < key {
+                break;
+            }
+            self.keys[hole] = pk;
+            self.payloads[hole] = self.payloads[parent];
+            hole = parent;
+        }
+        self.keys[hole] = key;
+        self.payloads[hole] = payload;
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "heap returned a past event");
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
+        let top_key = *self.keys.first()?;
+        let top = self.payloads[0];
+        let last_key = self.keys.pop().expect("non-empty");
+        let last = self.payloads.pop().expect("parallel arrays");
+        let n = self.keys.len();
+        if n > 0 {
+            // Move the root hole down past every smaller child, then drop
+            // the former last leaf into it.
+            let mut hole = 0;
+            loop {
+                let first = hole * HEAP_ARITY + 1;
+                let (child, ck) = if first + HEAP_ARITY <= n {
+                    // A full node: a pairwise tournament (two independent
+                    // comparisons, then one) instead of a dependent chain.
+                    let k: &[u128; HEAP_ARITY] = self.keys[first..first + HEAP_ARITY]
+                        .try_into()
+                        .expect("full node");
+                    let (a, ka) = if k[1] < k[0] { (1, k[1]) } else { (0, k[0]) };
+                    let (b, kb) = if k[3] < k[2] { (3, k[3]) } else { (2, k[2]) };
+                    let (c, kc) = if kb < ka { (b, kb) } else { (a, ka) };
+                    (first + c, kc)
+                } else if first < n {
+                    // The one partly filled node, at the bottom.
+                    let kids = &self.keys[first..n];
+                    let mut min = (first, kids[0]);
+                    for (j, &k) in kids.iter().enumerate().skip(1) {
+                        if k < min.1 {
+                            min = (first + j, k);
+                        }
+                    }
+                    min
+                } else {
+                    break;
+                };
+                if last_key < ck {
+                    break;
+                }
+                self.keys[hole] = ck;
+                self.payloads[hole] = self.payloads[child];
+                hole = child;
+            }
+            self.keys[hole] = last_key;
+            self.payloads[hole] = last;
+        }
+        let time = key_time(top_key);
+        debug_assert!(time >= self.now, "heap returned a past event");
+        self.now = time;
+        Some((time, top))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.keys.first().map(|&k| key_time(k))
     }
 
     fn now(&self) -> SimTime {
@@ -213,7 +254,7 @@ impl<E> EventSource<E> for HeapQueue<E> {
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.keys.len()
     }
 
     fn pushed_total(&self) -> u64 {
@@ -221,18 +262,26 @@ impl<E> EventSource<E> for HeapQueue<E> {
     }
 
     fn reset(&mut self) {
-        self.heap.clear();
+        self.keys.clear();
+        self.payloads.clear();
         self.seq = 0;
         self.now = SimTime::ZERO;
     }
 
     fn reserve(&mut self, cap: usize) {
-        if self.heap.capacity() < cap {
-            // `BinaryHeap::reserve` takes an *additional* count on top of
-            // the current length.
-            self.heap.reserve(cap - self.heap.len());
-        }
+        // `Vec::reserve` takes an *additional* count on top of the length.
+        let extra = cap.saturating_sub(self.keys.len());
+        self.keys.reserve(extra);
+        self.payloads.reserve(extra);
     }
+}
+
+/// A calendar-wheel bucket entry. Buckets keep entries in push order
+/// within a time, so the entry needs no sequence number of its own.
+#[derive(Debug)]
+struct Entry<E> {
+    time: SimTime,
+    payload: E,
 }
 
 /// Smallest bucket-array size (as a power of two) the wheel shrinks to.
@@ -506,11 +555,7 @@ impl<E> EventSource<E> for CalendarWheel<E> {
             let (nbits, wshift) = (self.nbits + 1, self.wshift);
             self.rebuild(nbits, wshift);
         }
-        let entry = Entry {
-            time,
-            seq: self.seq,
-            payload,
-        };
+        let entry = Entry { time, payload };
         self.seq += 1;
         self.len += 1;
         let mask = self.buckets.len() - 1;
@@ -609,7 +654,8 @@ impl<E> EventSource<E> for CalendarWheel<E> {
 ///
 /// This is the facade the engines hold: one of the [`EventSource`]
 /// backends selected by [`EventBackend`], dispatched by an inlined match
-/// (the payload type is generic, so no boxing and no vtable).
+/// (the payload type is generic, so no boxing and no vtable). Payloads are
+/// `Copy`: the heap moves them by value as it sifts.
 ///
 /// ```
 /// use cata_sim::event::EventQueue;
@@ -631,7 +677,7 @@ impl<E> EventSource<E> for CalendarWheel<E> {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum EventQueue<E> {
-    /// Binary-heap backend.
+    /// 4-ary heap backend.
     Heap(HeapQueue<E>),
     /// Calendar-queue backend.
     Wheel(CalendarWheel<E>),
@@ -660,7 +706,7 @@ pub fn default_backend() -> EventBackend {
     })
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue on the [`default_backend`].
     pub fn new() -> Self {
         Self::with_backend(default_backend())
@@ -757,7 +803,7 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> EventSource<E> for EventQueue<E> {
+impl<E: Copy> EventSource<E> for EventQueue<E> {
     fn push(&mut self, time: SimTime, payload: E) {
         EventQueue::push(self, time, payload)
     }
@@ -784,7 +830,7 @@ impl<E> EventSource<E> for EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -859,6 +905,63 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn scheduling_in_the_past_panics_on_wheel() {
+        let mut q = EventQueue::with_backend(EventBackend::CalendarWheel);
+        q.push(SimTime::from_ns(10), ());
+        q.pop();
+        q.push(SimTime::from_ns(5), ());
+    }
+
+    /// 320 same-instant ties interleaved with 192 earlier and later events:
+    /// 512 pending events span five 4-ary levels, so the tie run's FIFO
+    /// order has to survive sifts across at least four of them.
+    #[test]
+    fn heap_keeps_fifo_ties_across_levels() {
+        let mut q = HeapQueue::new();
+        let tie = SimTime::from_ns(500);
+        let mut expect = Vec::new();
+        for i in 0..512u32 {
+            let t = match i % 8 {
+                0 => SimTime::from_ns(u64::from(i % 97)),
+                1 | 2 => SimTime::from_ns(1_000 + u64::from((i * 7919) % 389)),
+                _ => tie,
+            };
+            q.push(t, i);
+            expect.push((t, i));
+        }
+        assert!(expect.iter().filter(|&&(t, _)| t == tie).count() >= 300);
+        // A stable sort by time is the (time, push-order) reference.
+        expect.sort_by_key(|&(t, _)| t);
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(got, expect);
+    }
+
+    /// `reset` restarts both the sequence counter and the clock: after a
+    /// run that advanced far, a fresh run can push at time zero, and its
+    /// ties come out in the new run's push order.
+    #[test]
+    fn heap_reset_restarts_seq_and_now() {
+        let mut q = HeapQueue::new();
+        for i in 0..100u32 {
+            q.push(SimTime::from_us(u64::from(i)), i);
+        }
+        for _ in 0..60 {
+            q.pop();
+        }
+        assert_eq!(q.now(), SimTime::from_us(59));
+        q.reset();
+        assert_eq!((q.len(), q.pushed_total(), q.now()), (0, 0, SimTime::ZERO));
+        for i in 0..10u32 {
+            q.push(SimTime::ZERO, 10 - i);
+        }
+        assert_eq!(q.pushed_total(), 10);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (1..=10).rev().collect::<Vec<_>>());
+        assert_eq!(q.now(), SimTime::ZERO);
+    }
+
+    #[test]
     fn push_at_now_is_allowed() {
         // An event handler may schedule follow-up work at the current instant
         // (zero-latency causality); it must be delivered after already-queued
@@ -908,7 +1011,7 @@ mod tests {
             assert_eq!(b.name().parse::<EventBackend>().unwrap(), b);
         }
         assert!("quantum".parse::<EventBackend>().is_err());
-        assert_eq!(EventBackend::default(), EventBackend::CalendarWheel);
+        assert_eq!(EventBackend::default(), EventBackend::Heap);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! - [`time`]: picosecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]) and exact frequency/cycle arithmetic ([`Frequency`]).
 //! - [`event`]: deterministic event queues behind the [`event::EventSource`]
-//!   trait — a binary-heap backend and the default calendar-wheel backend
+//!   trait — the default 4-ary heap backend and a calendar-wheel backend
 //!   ([`event::EventQueue`] is the dispatching facade). Ties are broken by
 //!   insertion sequence, and pop order is a *total* order, so every backend
 //!   produces bit-identical simulations.
@@ -78,3 +78,17 @@ pub use machine::{CoreId, Machine, MachineConfig, PowerLevel};
 pub use memory::{ArbitrationPolicy, MemRequest, MemorySubsystem};
 pub use seeded::SplitMix64;
 pub use time::{Frequency, SimDuration, SimTime};
+
+/// A fresh, empty directory under the system temp dir for a test's files:
+/// `cata-{tag}-{pid}-{n}`, where `n` counts calls in this process, so
+/// tests running in parallel never share a path.
+#[doc(hidden)]
+pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("cata-{tag}-{}-{n}", std::process::id()));
+    // An earlier process with the same pid may have left one behind.
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch directory");
+    dir
+}

@@ -8,6 +8,33 @@ use cata_sim::progress::{ExecProfile, RunningTask};
 use cata_sim::time::{Frequency, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// Reference model of the event queue: pending `(time, push index)`
+/// pairs, popped least time first and push order within a time — a
+/// stable sort by time, maintained incrementally. Push returns the index
+/// the tests use as the payload.
+#[derive(Default)]
+struct RefQueue {
+    pending: Vec<(SimTime, usize)>,
+    pushed: usize,
+}
+
+impl RefQueue {
+    fn push(&mut self, t: SimTime) -> usize {
+        self.pending.push((t, self.pushed));
+        self.pushed += 1;
+        self.pushed - 1
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let k = (0..self.pending.len()).min_by_key(|&k| self.pending[k])?;
+        Some(self.pending.remove(k))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.iter().min().map(|&(t, _)| t)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -97,6 +124,88 @@ proptest! {
             prop_assert_eq!(h, w, "drain diverged");
             if h.is_none() {
                 break;
+            }
+        }
+    }
+
+    /// Every backend drains an all-push schedule in the reference order:
+    /// a stable sort of `(time, push index)` by time.
+    #[test]
+    fn queue_matches_reference_fill_then_drain(
+        times in prop::collection::vec(0u64..500, 1..400),
+    ) {
+        let mut expect: Vec<(SimTime, usize)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (SimTime::from_ns(t), i))
+            .collect();
+        expect.sort_by_key(|&(t, _)| t);
+        for backend in EventBackend::ALL {
+            let mut q = EventQueue::with_backend(backend);
+            for (i, &t) in times.iter().enumerate() {
+                q.push(SimTime::from_ns(t), i);
+            }
+            let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            prop_assert_eq!(&got, &expect, "{} diverged", backend);
+        }
+    }
+
+    /// Interleaved pushes and pops, with pushes at the current instant,
+    /// small advances and far jumps: every backend agrees with the
+    /// reference model after every operation.
+    #[test]
+    fn queue_matches_reference_interleaved(
+        ops in prop::collection::vec((0u64..1u64 << 34, 0u32..4), 1..400),
+    ) {
+        for backend in EventBackend::ALL {
+            let mut q = EventQueue::with_backend(backend);
+            let mut r = RefQueue::default();
+            for &(advance, kind) in &ops {
+                if kind == 3 {
+                    prop_assert_eq!(q.pop(), r.pop(), "{} pop diverged", backend);
+                } else {
+                    // At the current instant, a small advance, or a far jump.
+                    let gap = [0, advance % 1024, advance][kind as usize];
+                    let at = q.now() + SimDuration::from_ps(gap);
+                    q.push(at, r.push(at));
+                }
+                prop_assert_eq!(q.len(), r.pending.len());
+                prop_assert_eq!(q.peek_time(), r.peek_time());
+            }
+            loop {
+                let (a, b) = (q.pop(), r.pop());
+                prop_assert_eq!(a, b, "{} drain diverged", backend);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// The engines' hold pattern: 32 cores, each with one pending event;
+    /// popping a core's event schedules that core's next one. Every
+    /// backend follows the reference model step for step.
+    #[test]
+    fn queue_matches_reference_hold_32(
+        starts in prop::collection::vec(0u64..64, 32..33),
+        gaps in prop::collection::vec(0u64..1u64 << 20, 1..600),
+    ) {
+        for backend in EventBackend::ALL {
+            let mut q = EventQueue::with_backend(backend);
+            let mut r = RefQueue::default();
+            for &t in &starts {
+                q.push(SimTime::from_ns(t), r.push(SimTime::from_ns(t)));
+            }
+            for &gap in &gaps {
+                let (a, b) = (q.pop(), r.pop());
+                prop_assert_eq!(a, b, "{} hold diverged", backend);
+                let (now, _) = a.expect("32 events stay pending");
+                // A gap below 2^10 ps is folded to zero: plenty of exact
+                // ties between cores.
+                let gap = if gap < 1 << 10 { 0 } else { gap };
+                let next = r.push(now + SimDuration::from_ps(gap));
+                q.push(now + SimDuration::from_ps(gap), next);
+                prop_assert_eq!(q.len(), 32);
             }
         }
     }

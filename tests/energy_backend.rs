@@ -16,9 +16,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cata-energy-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    cata_sim::scratch_dir("energy").join(name)
 }
 
 fn small_spec(name: &str, backend: Backend) -> ScenarioSpec {

@@ -25,11 +25,7 @@ fn grid() -> Vec<ScenarioSpec> {
 }
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cata-store-suite-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+    cata_sim::scratch_dir("store-suite").join(name)
 }
 
 fn bits(r: &RunReport) -> String {

@@ -24,9 +24,7 @@ use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cata-tdg-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    cata_sim::scratch_dir("tdg").join(name)
 }
 
 /// A random graph with the full profile surface: several types (varying
