@@ -374,9 +374,11 @@ pub enum RecoveryAction {
         /// the accelerated family even if it was not critical).
         prefer_fast: bool,
     },
-    /// Drop the work. In the closed-system engine this degrades to a
-    /// requeue (dropping a DAG node would deadlock its successors); in
-    /// service mode the whole graph instance is shed.
+    /// Drop the work. The engine's core-failure handler asks the task
+    /// source to retire the task: a closed graph declines (dropping a DAG
+    /// node would deadlock its successors), so the task is requeued
+    /// without a fast-core preference; a service run sheds the task's
+    /// whole graph instance.
     Shed,
 }
 

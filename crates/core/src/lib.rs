@@ -24,7 +24,9 @@
 //!
 //! - [`sim_exec::SimExecutor`]: a deterministic discrete-event execution on
 //!   the `cata-sim` machine model — the configuration used to reproduce the
-//!   paper's figures;
+//!   paper's figures. [`service`] runs open-system traffic through the same
+//!   engine: one generic engine owns the core lifecycle, and a closed graph
+//!   or a tape of arrivals is its task source;
 //! - [`native`]: a real thread-pool runtime executing actual closures with
 //!   dependence tracking, criticality queues and a pluggable DVFS backend
 //!   (`cata-cpufreq`), usable on real Linux hosts with the userspace
@@ -38,6 +40,7 @@
 
 pub mod accel;
 pub mod config;
+mod engine;
 pub mod exp;
 pub mod fault;
 pub mod gantt;

@@ -24,12 +24,13 @@
 //!   queue-cap, criticality-aware shedding; a registry
 //!   ([`AdmissionRegistry`]) keyed by name, like the scheduler /
 //!   estimator / accel registries.
-//! - [`run_service`] / [`replay_tape`] — the service engine: one
-//!   discrete-event simulation hosting thousands of concurrent graph
-//!   instances in pooled per-instance slots, arrival events interleaved
-//!   into the ordinary event queue, completions folded into streaming
-//!   log-bucketed [`LatencyHistogram`](cata_sim::stats::LatencyHistogram)s
-//!   (no per-sample allocation).
+//! - [`run_service`] / [`replay_tape`] — the closed-system engine fed by
+//!   an arrival stream: one discrete-event simulation hosting thousands
+//!   of concurrent graph instances in pooled per-instance slots, arrival
+//!   events interleaved into the ordinary event queue, completions folded
+//!   into streaming log-bucketed
+//!   [`LatencyHistogram`](cata_sim::stats::LatencyHistogram)s (no
+//!   per-sample allocation).
 //! - [`ServiceReport`] — the per-run service metrics, carried on
 //!   [`RunReport::service`](crate::RunReport) so service cells flow
 //!   through the same stores and tables as closed-system cells.

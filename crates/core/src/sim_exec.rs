@@ -1,48 +1,30 @@
-//! The discrete-event execution engine: runs a task graph on the simulated
+//! The closed-system executor: runs one task graph on the simulated
 //! machine under one of the paper's six configurations and measures
 //! everything the figures need.
 //!
-//! The engine models the runtime the way the paper's Nanos++ setup works:
+//! [`SimExecutor`] resolves a configuration or a scenario spec into
+//! `EngineParams` and policies, then runs the discrete-event engine
+//! (`crate::engine`) with a closed-graph task source: the runtime's
+//! master thread submits the graph in program order. Service mode runs
+//! the same engine with an arrival-stream source instead (see
+//! [`crate::service`]).
 //!
-//! - a **master thread** submits tasks in program order; each submission
-//!   costs creation time plus (for `CATS+BL`) the bottom-level ancestor
-//!   walk, so criticality estimation overhead delays task availability
-//!   exactly as §V-A describes;
-//! - **worker cores** pull tasks from the policy's ready queues, paying a
-//!   dispatch cost, then the acceleration manager's prologue (for software
-//!   CATA this is the serialized RSM + cpufreq path), then execute the task
-//!   body under the progress model (mid-task DVFS changes re-project
-//!   completion), then run the manager's epilogue before going idle;
-//! - blocked tasks halt their core (C1), which TurboMode exploits and CATA
-//!   deliberately does not (§V-D).
-//!
-//! Determinism: all state transitions are driven by a deterministic event
-//! queue; the only randomness (TurboMode's victim pick) is seeded from the
-//! run configuration. Same config + same graph ⇒ bit-identical report.
+//! Determinism: same config + same graph ⇒ bit-identical report.
 
-use crate::accel::{AccelEffects, AccelManager};
 use crate::config::{RunConfig, RuntimeCosts};
+use crate::engine::{self, closed::ClosedGraph};
 use crate::exp::error::ExpError;
 use crate::exp::registry::{default_registries, PolicyRegistries, ResolvedPolicies};
 use crate::exp::spec::ScenarioSpec;
-use crate::fault::{
-    default_recovery_registry, fault_rng, FaultReport, FaultSpec, RecoveryAction, RecoveryCtx,
-    RecoveryPolicy, SplitMix64,
-};
-use crate::mem::{default_arbitration_registry, MemoryReport, MemorySpec};
-use crate::policy::{DispatchCtx, SchedulerPolicy};
+use crate::fault::FaultSpec;
+use crate::mem::MemorySpec;
 use crate::report::RunReport;
-use cata_power::{integrate_machine, PowerParams};
-use cata_sim::activity::Activity;
-use cata_sim::event::{EventBackend, EventQueue};
-use cata_sim::machine::{CoreId, Machine, MachineConfig};
-use cata_sim::memory::ArbitrationPolicy;
-use cata_sim::progress::{Milestone, RunningTask};
-use cata_sim::stats::Counters;
-use cata_sim::time::{SimDuration, SimTime};
-use cata_sim::trace::{Trace, TraceEvent, TraceMode};
-use cata_tdg::criticality::CriticalityEstimator;
-use cata_tdg::{GraphView, TaskGraph, TaskId};
+use cata_power::PowerParams;
+use cata_sim::event::EventBackend;
+use cata_sim::machine::MachineConfig;
+use cata_sim::time::SimDuration;
+use cata_sim::trace::{Trace, TraceMode};
+use cata_tdg::TaskGraph;
 
 /// Every non-policy knob the engine needs: the common denominator of
 /// [`RunConfig`] (the enum-based compat surface) and
@@ -88,9 +70,13 @@ impl From<&RunConfig> for EngineParams {
     }
 }
 
-impl From<&ScenarioSpec> for EngineParams {
-    fn from(spec: &ScenarioSpec) -> Self {
-        EngineParams {
+impl EngineParams {
+    /// The engine knobs of a scenario spec, with its event-queue key
+    /// resolved through the registry — the one place a spec's
+    /// engine-level keys are resolved, for closed and service runs alike
+    /// (recovery and arbitration keys resolve when the engine starts).
+    pub(crate) fn for_spec(spec: &ScenarioSpec) -> Result<Self, ExpError> {
+        Ok(EngineParams {
             label: spec.name.clone(),
             machine: spec.machine.clone(),
             fast_cores: spec.fast_cores,
@@ -102,378 +88,24 @@ impl From<&ScenarioSpec> for EngineParams {
             trace: spec.trace,
             seed: spec.seed,
             faults: spec.faults.clone(),
-            // Key resolution is fallible; the spec entry points resolve
-            // through the registry (after `validate`) and overwrite this.
-            event_queue: cata_sim::event::default_backend(),
+            event_queue: crate::exp::registry::default_event_queue_registry()
+                .resolve_spec(spec.event_queue.as_deref())?,
             // An unlimited-slot spec is the uncontended model: filter it
             // here so the engine's fast path stays gate-free.
             memory: spec.memory.clone().filter(|m| !m.is_noop()),
-        }
+        })
     }
 }
 
-/// Simulation events.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// The master finished submitting the next task.
-    SubmitDone,
-    /// A core's runtime prologue finished; the task body begins.
-    TaskBegin { core: u32, epoch: u64 },
-    /// A running task reached its next milestone (complete/block/unblock).
-    Milestone { core: u32, epoch: u64, gen: u64 },
-    /// A core's runtime epilogue finished; it requests new work.
-    CoreFree { core: u32, epoch: u64 },
-    /// A DVFS transition may have settled on a core.
-    DvfsSettle { core: u32 },
-    /// An idle core's OS timeout expired; it halts (C1).
-    IdleHalt { core: u32, epoch: u64 },
-    /// A core stayed idle past the deceleration debounce; CATA may now
-    /// release its budget.
-    IdleDecel { core: u32, epoch: u64 },
-    /// A scheduled fault fail-stops a core (fault injection only).
-    CoreFail { core: u32, permanent: bool },
-    /// A failed core's recovery window closed; it rejoins the machine.
-    CoreRecover { core: u32 },
-    /// A granted task's memory-bandwidth hold expired; the slot frees and
-    /// arbitration picks the next waiter (contended memory only).
-    MemRelease { core: u32, epoch: u64 },
-}
-
-/// What a core is doing, from the executor's point of view. The lifetime
-/// is the task graph's: a running task borrows its profile from the graph
-/// instead of cloning it per assignment.
-#[derive(Debug)]
-enum CoreRun<'g> {
-    /// Spinning in the runtime idle loop.
-    Idle,
-    /// Halted in C1 (idle timeout, only with `idle_to_halt`).
-    Halted,
-    /// Running the runtime prologue (dispatch + acceleration path).
-    Prologue { task: TaskId },
-    /// Executing a task body.
-    Running { task: TaskId, rt: RunningTask<'g> },
-    /// Parked at the memory gate: the prologue finished but every
-    /// bandwidth slot is taken. The core stays *busy* (spinning on the
-    /// access), burning energy without progress — interference stretches
-    /// wall time.
-    MemWait { task: TaskId },
-    /// Running the runtime epilogue (task-end acceleration path).
-    Epilogue,
-}
-
-#[derive(Debug)]
-struct CoreCtl<'g> {
-    run: CoreRun<'g>,
-    /// Bumped on every assignment; stale scheduled events are discarded by
-    /// comparing epochs.
-    epoch: u64,
-    /// An IdleHalt event is pending for the current idle period.
-    halt_scheduled: bool,
-    /// The acceleration manager has been told about the current idle period.
-    idle_notified: bool,
-}
-
-/// Sentinel for "not linked" in [`IdleIndex`].
-pub(crate) const NIL: u32 = u32::MAX;
-
-/// A persistent index of *available* (idle or halted) cores, kept in
-/// dispatch order — the structure that replaces the per-event candidate
-/// `Vec` + sort the dispatch loop used to allocate.
-///
-/// Dispatch order is `(preferred class, idle arrival)`: when the scheduler
-/// prefers fast cores (CATS), static-fast cores form class 0 and everyone
-/// else class 1; otherwise all cores share class 1 and the order is pure
-/// idle-arrival FIFO — exactly the sort key of the old code, so scheduling
-/// decisions are bit-identical. Each class is an intrusive doubly linked
-/// list over fixed per-core link arrays: cores always *become* available
-/// later than every core already listed (idle stamps are monotonic), so
-/// insertion is an O(1) tail append, and assignment unlinks in O(1) from
-/// anywhere. Zero allocations after [`reset`](Self::reset).
-#[derive(Debug, Default)]
-pub(crate) struct IdleIndex {
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    /// 0 = preferred (static-fast under a fast-preferring policy), 1 = rest.
-    class: Vec<u8>,
-    linked: Vec<bool>,
-    /// Static speed class, for the `fast_core_idle` dispatch context.
-    is_fast: Vec<bool>,
-    head: [u32; 2],
-    tail: [u32; 2],
-    /// Available cores that are static-fast.
-    avail_fast: usize,
-}
-
-impl IdleIndex {
-    /// Re-initializes for a run: all `n` cores available in core order
-    /// (their initial idle stamps are their indices), classed by
-    /// `prefer_fast`/`is_fast_static`. Reuses every buffer.
-    pub(crate) fn reset(&mut self, n: usize, prefer_fast: bool, is_fast_static: &[bool]) {
-        self.next.clear();
-        self.next.resize(n, NIL);
-        self.prev.clear();
-        self.prev.resize(n, NIL);
-        self.linked.clear();
-        self.linked.resize(n, false);
-        self.class.clear();
-        self.class.extend(
-            is_fast_static
-                .iter()
-                .map(|&fast| u8::from(!(prefer_fast && fast))),
-        );
-        self.is_fast.clear();
-        self.is_fast.extend_from_slice(is_fast_static);
-        self.head = [NIL; 2];
-        self.tail = [NIL; 2];
-        self.avail_fast = 0;
-        for i in 0..n {
-            self.push(CoreId(i as u32));
-        }
-    }
-
-    /// Appends a newly available core at the tail of its class list.
-    pub(crate) fn push(&mut self, core: CoreId) {
-        let i = core.index();
-        debug_assert!(!self.linked[i], "{core} already available");
-        let c = self.class[i] as usize;
-        let t = self.tail[c];
-        self.prev[i] = t;
-        self.next[i] = NIL;
-        if t == NIL {
-            self.head[c] = core.0;
-        } else {
-            self.next[t as usize] = core.0;
-        }
-        self.tail[c] = core.0;
-        self.linked[i] = true;
-        if self.is_fast[i] {
-            self.avail_fast += 1;
-        }
-    }
-
-    /// Unlinks a core that got work assigned.
-    pub(crate) fn remove(&mut self, core: CoreId) {
-        let i = core.index();
-        debug_assert!(self.linked[i], "{core} not available");
-        let c = self.class[i] as usize;
-        let (p, n) = (self.prev[i], self.next[i]);
-        if p == NIL {
-            self.head[c] = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail[c] = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        self.prev[i] = NIL;
-        self.next[i] = NIL;
-        self.linked[i] = false;
-        if self.is_fast[i] {
-            self.avail_fast -= 1;
-        }
-    }
-
-    /// First core in dispatch order.
-    pub(crate) fn first(&self) -> Option<CoreId> {
-        let h = if self.head[0] != NIL {
-            self.head[0]
-        } else {
-            self.head[1]
-        };
-        (h != NIL).then_some(CoreId(h))
-    }
-
-    /// The core visited after `core`. Capture this *before* removing
-    /// `core`: the successor stays valid because dispatch only ever
-    /// removes the core it is currently visiting.
-    pub(crate) fn next_after(&self, core: CoreId) -> Option<CoreId> {
-        let i = core.index();
-        let n = self.next[i];
-        if n != NIL {
-            return Some(CoreId(n));
-        }
-        if self.class[i] == 0 && self.head[1] != NIL {
-            return Some(CoreId(self.head[1]));
-        }
-        None
-    }
-
-    /// True if any static-fast core is available (idle or halted).
-    pub(crate) fn any_fast_available(&self) -> bool {
-        self.avail_fast > 0
-    }
-
-    /// True if `core` is currently linked as available — fault injection
-    /// must evict a failing idle core, but only if it is actually listed.
-    pub(crate) fn is_linked(&self, core: CoreId) -> bool {
-        self.linked[core.index()]
-    }
-}
-
-/// Per-run fault-injection state: the schedule's bookkeeping, the seeded
-/// RNG, and the accumulating [`FaultReport`]. Present only when the
-/// scenario carries a [`FaultSpec`]; fault-free runs never touch it.
-pub(crate) struct FaultState {
-    pub(crate) spec: FaultSpec,
-    pub(crate) policy: Box<dyn RecoveryPolicy>,
-    pub(crate) rng: SplitMix64,
-    /// Per-core "currently failed" flag.
-    pub(crate) failed: Vec<bool>,
-    /// When each currently-failed core failed (capacity accounting).
-    pub(crate) fail_since: Vec<Option<SimTime>>,
-    /// Consecutive transient failures of the core's pending DVFS settle.
-    pub(crate) settle_retries: Vec<u32>,
-    /// Per-task transient-fault re-executions used (bounded by
-    /// `max_retries` so a p=1 schedule still terminates).
-    pub(crate) task_retries: Vec<u32>,
-    /// When each displaced task was displaced (recovery-latency samples).
-    pub(crate) displaced_at: Vec<Option<SimTime>>,
-    pub(crate) report: FaultReport,
-}
-
-impl FaultState {
-    pub(crate) fn new(
-        spec: &FaultSpec,
-        policy: Box<dyn RecoveryPolicy>,
-        seed: u64,
-        cores: usize,
-        tasks: usize,
-    ) -> Self {
-        FaultState {
-            spec: spec.clone(),
-            policy,
-            rng: fault_rng(seed),
-            failed: vec![false; cores],
-            fail_since: vec![None; cores],
-            settle_retries: vec![0; cores],
-            task_retries: vec![0; tasks],
-            displaced_at: vec![None; tasks],
-            report: FaultReport::default(),
-        }
-    }
-
-    /// Grows the per-task vectors (the service engine's global-id space
-    /// expands as instance slots are allocated).
-    pub(crate) fn grow_tasks(&mut self, tasks: usize) {
-        if tasks > self.task_retries.len() {
-            self.task_retries.resize(tasks, 0);
-            self.displaced_at.resize(tasks, None);
-        }
-    }
-
-    /// The failure schedule as `(time, event)` pushes for the run's event
-    /// queue; `fail`/`recover` map to the engine's own event type.
-    pub(crate) fn schedule_into<E>(
-        &self,
-        mut fail: impl FnMut(u32, bool) -> E,
-        mut recover: impl FnMut(u32) -> E,
-    ) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.spec.core_failures.len() * 2);
-        for f in &self.spec.core_failures {
-            let at = SimTime::ZERO + f.at;
-            out.push((at, fail(f.core as u32, f.recover_after.is_none())));
-            if let Some(r) = f.recover_after {
-                out.push((at + r, recover(f.core as u32)));
-            }
-        }
-        out
-    }
-
-    /// The schedule for the closed-system engine's event type.
-    fn schedule(&self) -> Vec<(SimTime, Ev)> {
-        self.schedule_into(
-            |core, permanent| Ev::CoreFail { core, permanent },
-            |core| Ev::CoreRecover { core },
-        )
-    }
-}
-
-/// Per-run memory-gate state: the arbitration policy, per-core wait/hold
-/// bookkeeping, and the accumulating [`MemoryReport`]. Present only when
-/// the scenario carries a *contended* [`MemorySpec`]; uncontended runs
-/// never touch it (and no
-/// [`MemorySubsystem`](cata_sim::MemorySubsystem) is attached to the
-/// machine, so the legacy model stays bit-identical).
-pub(crate) struct MemState {
-    pub(crate) policy: Box<dyn ArbitrationPolicy>,
-    /// When each core's pending slot request was enqueued.
-    pub(crate) wait_since: Vec<Option<SimTime>>,
-    /// Per-core "currently holds a slot" flag — guards stale release
-    /// events after faults and re-executions.
-    pub(crate) holding: Vec<bool>,
-    pub(crate) report: MemoryReport,
-}
-
-impl MemState {
-    pub(crate) fn new(spec: &MemorySpec, policy: Box<dyn ArbitrationPolicy>, cores: usize) -> Self {
-        MemState {
-            policy,
-            wait_since: vec![None; cores],
-            holding: vec![false; cores],
-            report: MemoryReport {
-                slots: spec.slots,
-                arbitration: spec.arbitration.clone(),
-                ..MemoryReport::default()
-            },
-        }
-    }
-}
-
-/// Retry penalty charged when a simulated DVFS settle write fails
-/// transiently: the settle re-fires this much later. Deterministic and
-/// deliberately small — the interesting effect is the *classification*
-/// (recovered vs exhausted), not the delay model.
-pub(crate) const RECONFIG_RETRY_DELAY: SimDuration = SimDuration::from_us(1);
-
-/// Per-thread engine buffers reused across runs: suite workers batch many
-/// small scenarios, and re-growing the event heap, dependence counters and
-/// idle index for every one of them is measurable waste (the ROADMAP
-/// "batching many small scenarios per thread" item). Taken from a
-/// thread-local by the executor entry points and handed back after the
-/// run; the per-run warm-up allocation therefore happens once per worker
-/// thread, not once per scenario.
-#[derive(Debug, Default)]
-struct EngineScratch {
-    events: EventQueue<Ev>,
-    /// SoA snapshot of the run's graph (CSR successors, predecessor
-    /// counts, criticality levels, work scalars), rebuilt per run.
-    view: GraphView,
-    indegree: Vec<u32>,
-    crit: Vec<bool>,
-    idle: IdleIndex,
-}
-
-thread_local! {
-    static SCRATCH: std::cell::RefCell<EngineScratch> =
-        std::cell::RefCell::new(EngineScratch::default());
-}
-
-/// Runs one engine execution with the thread's scratch buffers.
-///
-/// Fault-free runs cannot fail; a faulted run fails cleanly when the
-/// recovery key is unknown or the injected schedule stalls the machine.
-fn run_with_scratch(
+/// Runs `graph` as a closed task source on the thread's engine scratch.
+fn run_graph(
     params: &EngineParams,
     resolved: ResolvedPolicies,
     graph: &TaskGraph,
     workload: &str,
 ) -> Result<(RunReport, Trace), ExpError> {
-    let recovery = match &params.faults {
-        Some(f) => Some(default_recovery_registry().build(&f.recovery, f)?),
-        None => None,
-    };
-    let arbitration = match &params.memory {
-        Some(m) => Some(default_arbitration_registry().build(&m.arbitration, m)?),
-        None => None,
-    };
-    SCRATCH.with(|cell| {
-        let scratch = cell.take();
-        let (result, trace, scratch) =
-            Engine::new(params, resolved, graph, scratch, recovery, arbitration).run(workload);
-        cell.replace(scratch);
-        result.map(|report| (report, trace))
+    engine::run(params, resolved, workload, |estimator, scratch| {
+        ClosedGraph::new(graph, params.costs, estimator, scratch)
     })
 }
 
@@ -528,7 +160,7 @@ impl SimExecutor {
             .unwrap_or_else(|e| panic!("RunConfig `{}` failed to resolve: {e}", cfg.label));
         // RunConfig carries no fault schedule, so the engine is infallible
         // on this path.
-        run_with_scratch(&EngineParams::from(cfg), resolved, graph, workload)
+        run_graph(&EngineParams::from(cfg), resolved, graph, workload)
             .expect("fault-free runs cannot fail")
     }
 
@@ -552,17 +184,15 @@ impl SimExecutor {
         // cell can never name a different revision of an unpinned TDG
         // file than the graph that actually ran.
         let (graph, label) = spec.workload.build_labeled_graph()?;
-        let mut engine_params = EngineParams::from(spec);
-        engine_params.event_queue = crate::exp::registry::default_event_queue_registry()
-            .resolve_spec(spec.event_queue.as_deref())?;
-        let (mut report, trace) = run_with_scratch(&engine_params, resolve()?, &graph, &label)?;
+        let mut engine_params = EngineParams::for_spec(spec)?;
+        let (mut report, trace) = run_graph(&engine_params, resolve()?, &graph, &label)?;
         // Faulted cells also run their fault-free twin (same spec, no
         // schedule) so the report carries makespan degradation — the
         // number the robustness tables plot.
         if report.fault.is_some() {
             engine_params.faults = None;
             engine_params.trace = TraceMode::Off;
-            let (twin, _) = run_with_scratch(&engine_params, resolve()?, &graph, &label)?;
+            let (twin, _) = run_graph(&engine_params, resolve()?, &graph, &label)?;
             let faulted_ps = report.exec_time.as_ps();
             if let Some(fault) = report.fault.as_mut() {
                 if twin.exec_time.as_ps() > 0 {
@@ -574,894 +204,12 @@ impl SimExecutor {
     }
 }
 
-struct Engine<'g> {
-    cfg: &'g EngineParams,
-    graph: &'g TaskGraph,
-    machine: Machine,
-    policy: Box<dyn SchedulerPolicy>,
-    accel: Box<dyn AccelManager>,
-    estimator: Box<dyn CriticalityEstimator>,
-    /// The estimator's `classify_level` is the task type's static
-    /// annotation (cached once — `make_ready` then reads the view's
-    /// level array instead of making a virtual call per ready task).
-    est_static: bool,
-    events: EventQueue<Ev>,
-    /// SoA snapshot of `graph` (owned via scratch; returned after the run).
-    view: GraphView,
-    cores: Vec<CoreCtl<'g>>,
-    /// Available (idle/halted) cores in dispatch order; maintained
-    /// incrementally so dispatch never builds or sorts a candidate list.
-    idle: IdleIndex,
-    /// Cores that entered the idle loop since the last dispatch; their
-    /// decel debounce / halt timers still need arming.
-    newly_idle: Vec<u32>,
-    /// Remaining unfinished predecessors per task.
-    indegree: Vec<u32>,
-    /// Tasks `0..submitted` are visible to the runtime.
-    submitted: usize,
-    /// Criticality classification, assigned when a task becomes ready.
-    crit: Vec<bool>,
-    done: usize,
-    counters: Counters,
-    trace: Trace,
-    last_completion: SimTime,
-    is_fast_static: Vec<bool>,
-    /// Fault-injection bookkeeping; `None` on a perfect machine.
-    fault: Option<FaultState>,
-    /// Memory-gate bookkeeping; `None` on the uncontended machine.
-    mem: Option<MemState>,
-}
-
-impl<'g> Engine<'g> {
-    fn new(
-        cfg: &'g EngineParams,
-        resolved: ResolvedPolicies,
-        graph: &'g TaskGraph,
-        scratch: EngineScratch,
-        recovery: Option<Box<dyn RecoveryPolicy>>,
-        arbitration: Option<Box<dyn ArbitrationPolicy>>,
-    ) -> Self {
-        let n_cores = cfg.machine.num_cores;
-        assert!(
-            cfg.fast_cores <= n_cores,
-            "fast_cores {} exceeds machine size {n_cores}",
-            cfg.fast_cores
-        );
-
-        let ResolvedPolicies {
-            policy,
-            estimator,
-            accel,
-            mut machine,
-            is_fast_static,
-            caps,
-        } = resolved;
-
-        // A contended scenario attaches the shared memory subsystem to
-        // the machine as an explicit component; uncontended runs leave
-        // the machine exactly as the registry built it.
-        let mem = cfg.memory.as_ref().zip(arbitration).map(|(spec, policy)| {
-            machine.attach_memory(spec.slots as usize);
-            MemState::new(spec, policy, n_cores)
-        });
-
-        let n = graph.num_tasks();
-        let EngineScratch {
-            mut events,
-            mut view,
-            mut indegree,
-            mut crit,
-            mut idle,
-        } = scratch;
-        // Pre-size from the machine: each core keeps a few events pending
-        // (begin or milestone, free, settle, idle timers), plus the
-        // master's next submission. Reused buffers keep their allocation
-        // from the previous run on this thread.
-        events.ensure_backend(cfg.event_queue);
-        events.reset();
-        events.reserve(n_cores * 4 + 1);
-        view.rebuild(graph);
-        indegree.clear();
-        indegree.extend_from_slice(view.pred_counts());
-        crit.clear();
-        crit.resize(n, false);
-        idle.reset(n_cores, caps.prefer_fast, &is_fast_static);
-
-        let est_static = estimator.is_annotation_static();
-        Engine {
-            cfg,
-            graph,
-            machine,
-            policy,
-            accel,
-            estimator,
-            est_static,
-            events,
-            view,
-            cores: (0..n_cores)
-                .map(|_| CoreCtl {
-                    run: CoreRun::Idle,
-                    epoch: 0,
-                    halt_scheduled: false,
-                    idle_notified: false,
-                })
-                .collect(),
-            idle,
-            // Every core starts in the idle loop.
-            newly_idle: (0..n_cores as u32).collect(),
-            indegree,
-            submitted: 0,
-            crit,
-            done: 0,
-            counters: Counters::default(),
-            trace: Trace::with_mode(cfg.trace),
-            last_completion: SimTime::ZERO,
-            is_fast_static,
-            fault: cfg
-                .faults
-                .as_ref()
-                .zip(recovery)
-                .map(|(spec, policy)| FaultState::new(spec, policy, cfg.seed, n_cores, n)),
-            mem,
-        }
-    }
-
-    fn run(mut self, workload: &str) -> (Result<RunReport, ExpError>, Trace, EngineScratch) {
-        let total = self.graph.num_tasks();
-        // Controller initialization (TurboMode boots with budget assigned).
-        let init = self.accel.on_init(&mut self.machine, SimTime::ZERO);
-        self.push_settles(&init);
-
-        // Master thread: schedule the first submission.
-        if total > 0 {
-            let cost = self.submission_cost(TaskId(0));
-            self.events.push(SimTime::ZERO + cost, Ev::SubmitDone);
-        }
-
-        // The injected fault schedule rides the ordinary event queue.
-        if let Some(fs) = &self.fault {
-            for (at, ev) in fs.schedule() {
-                self.events.push(at, ev);
-            }
-        }
-
-        while self.done < total {
-            let Some((now, ev)) = self.events.pop() else {
-                if let Some(fs) = &self.fault {
-                    // An exhausted queue with work remaining is a *clean*
-                    // outcome under fault injection: the schedule removed
-                    // the capacity the rest of the graph needed.
-                    let dead = fs.failed.iter().filter(|&&f| f).count();
-                    let err = ExpError::Stalled(format!(
-                        "fault schedule removed the capacity the run needed: \
-                         {}/{} tasks done, {} submitted, {} ready, {dead} core(s) failed",
-                        self.done,
-                        total,
-                        self.submitted,
-                        self.policy.len()
-                    ));
-                    let scratch = EngineScratch {
-                        events: self.events,
-                        view: self.view,
-                        indegree: self.indegree,
-                        crit: self.crit,
-                        idle: self.idle,
-                    };
-                    return (Err(err), self.trace, scratch);
-                }
-                panic!(
-                    "simulation deadlock: {}/{} tasks done, {} submitted, queue len {}",
-                    self.done,
-                    total,
-                    self.submitted,
-                    self.policy.len()
-                );
-            };
-            self.counters.sim_events += 1;
-            self.handle(now, ev);
-            self.dispatch(now);
-        }
-
-        let end = self.last_completion;
-        // Close the capacity ledger: cores still failed at run end lost
-        // the remainder of the window.
-        let fault = self.fault.take().map(|mut fs| {
-            for i in 0..fs.failed.len() {
-                if fs.failed[i] {
-                    if let Some(t) = fs.fail_since[i].take() {
-                        fs.report.capacity_lost += end.saturating_since(t);
-                    }
-                }
-            }
-            fs.report
-        });
-        let memory = self.mem.take().map(|ms| ms.report);
-        self.machine.finish(end);
-        let energy = integrate_machine(&self.machine, end.since(SimTime::ZERO), &self.cfg.power);
-        let stats = self.accel.stats();
-        let agg_core_time = end.as_ps().saturating_mul(self.machine.num_cores() as u64);
-        let report = RunReport {
-            label: self.cfg.label.clone(),
-            workload: workload.to_string(),
-            fast_cores: self.cfg.fast_cores,
-            exec_time: end.since(SimTime::ZERO),
-            energy,
-            counters: self.counters.clone(),
-            lock_waits: stats.lock_waits,
-            reconfig_latencies: stats.latencies,
-            reconfig_overhead: stats.overhead_total,
-            reconfig_time_share: if agg_core_time == 0 {
-                0.0
-            } else {
-                stats.overhead_total.as_ps() as f64 / agg_core_time as f64
-            },
-            core_utilization: self
-                .machine
-                .cores()
-                .map(|c| c.timeline().utilization())
-                .collect(),
-            tasks: total,
-            // Counters/Full runs tally every event kind; surface the
-            // tallies so stored sweep cells carry them for dashboards.
-            trace_counts: self.trace.is_enabled().then(|| *self.trace.counts()),
-            // The simulator always runs the spec's machine verbatim.
-            effective_cores: None,
-            // Closed-system run: one graph, no arrival stream.
-            service: None,
-            fault,
-            memory,
-        };
-        let scratch = EngineScratch {
-            events: self.events,
-            view: self.view,
-            indegree: self.indegree,
-            crit: self.crit,
-            idle: self.idle,
-        };
-        (Ok(report), self.trace, scratch)
-    }
-
-    /// Cost of submitting `task` on the master thread.
-    fn submission_cost(&mut self, task: TaskId) -> SimDuration {
-        let visits = self.estimator.on_submit(self.graph, task);
-        self.cfg.costs.task_creation + self.cfg.costs.per_bl_visit.saturating_mul(visits)
-    }
-
-    fn handle(&mut self, now: SimTime, ev: Ev) {
-        match ev {
-            Ev::SubmitDone => {
-                let i = self.submitted;
-                self.submitted += 1;
-                if self.indegree[i] == 0 {
-                    self.make_ready(TaskId(i as u32), now);
-                }
-                if self.submitted < self.graph.num_tasks() {
-                    let cost = self.submission_cost(TaskId(self.submitted as u32));
-                    self.events.push(now + cost, Ev::SubmitDone);
-                }
-            }
-            Ev::TaskBegin { core, epoch } => self.task_begin(CoreId(core), epoch, now),
-            Ev::Milestone { core, epoch, gen } => self.milestone(CoreId(core), epoch, gen, now),
-            Ev::CoreFree { core, epoch } => self.core_free(CoreId(core), epoch, now),
-            Ev::DvfsSettle { core } => self.dvfs_settle(CoreId(core), now),
-            Ev::IdleHalt { core, epoch } => self.idle_halt(CoreId(core), epoch, now),
-            Ev::IdleDecel { core, epoch } => self.idle_decel(CoreId(core), epoch, now),
-            Ev::CoreFail { core, permanent } => self.core_fail(CoreId(core), permanent, now),
-            Ev::CoreRecover { core } => self.core_recover(CoreId(core), now),
-            Ev::MemRelease { core, epoch } => self.mem_release(CoreId(core), epoch, now),
-        }
-    }
-
-    /// Fail-stops a core: evict it from the idle index, cancel its
-    /// pending events (epoch bump), and hand any in-flight task to the
-    /// recovery policy. The acceleration manager is *not* notified — a
-    /// dead accelerated core keeps its budget allocated, which is part of
-    /// the capacity the failure costs.
-    fn core_fail(&mut self, core: CoreId, permanent: bool, now: SimTime) {
-        let i = core.index();
-        let Some(fs) = self.fault.as_mut() else {
-            return;
-        };
-        if fs.failed[i] {
-            return; // overlapping windows: already down
-        }
-        fs.failed[i] = true;
-        fs.fail_since[i] = Some(now);
-        fs.report.injected += 1;
-
-        // An in-flight task (prologue, body, or a blocked body) dies with
-        // the core; a task in epilogue already completed.
-        let displaced = match self.cores[i].run {
-            CoreRun::Prologue { task } => Some(task),
-            CoreRun::Running { task, .. } => Some(task),
-            // A task parked at the memory gate dies with its core too.
-            CoreRun::MemWait { task } => Some(task),
-            _ => None,
-        };
-        if self.idle.is_linked(core) {
-            self.idle.remove(core);
-        }
-        let ctl = &mut self.cores[i];
-        ctl.epoch += 1;
-        ctl.halt_scheduled = false;
-        ctl.idle_notified = false;
-        ctl.run = CoreRun::Halted;
-        self.machine.set_activity(core, now, Activity::Halted);
-
-        // A failed core frees its memory-gate state: a held bandwidth
-        // slot is released (a waiter may be granted right now), a queued
-        // request is cancelled.
-        if let Some(ms) = self.mem.as_mut() {
-            if ms.holding[i] {
-                ms.holding[i] = false;
-                self.machine
-                    .memory_mut()
-                    .expect("memory subsystem")
-                    .release();
-                self.mem_grant(now);
-            } else if ms.wait_since[i].take().is_some() {
-                self.machine
-                    .memory_mut()
-                    .expect("memory subsystem")
-                    .cancel_core(core);
-            }
-        }
-
-        if let Some(task) = displaced {
-            let critical = self.crit[task.index()];
-            let fs = self.fault.as_mut().expect("fault state present");
-            fs.report.displaced += 1;
-            fs.displaced_at[task.index()] = Some(now);
-            let action = fs.policy.on_displaced(&RecoveryCtx {
-                now,
-                failed_core: i,
-                critical,
-                permanent,
-                degraded: true,
-            });
-            let prefer_fast = match action {
-                RecoveryAction::Requeue { prefer_fast } => prefer_fast,
-                // Dropping a DAG node would deadlock its successors; the
-                // closed-system engine degrades Shed to a plain requeue
-                // (service mode sheds the whole instance instead).
-                RecoveryAction::Shed => false,
-            };
-            let mut level = self.estimator.classify_level(self.graph, task);
-            if prefer_fast && level == 0 {
-                level = 1;
-                self.crit[task.index()] = true;
-            }
-            self.policy.enqueue(task, level);
-        }
-    }
-
-    /// A failed core's recovery window closed: it rejoins the idle index
-    /// and can take work again. Time spent down is charged to the
-    /// capacity ledger.
-    fn core_recover(&mut self, core: CoreId, now: SimTime) {
-        let i = core.index();
-        let Some(fs) = self.fault.as_mut() else {
-            return;
-        };
-        if !fs.failed[i] {
-            return;
-        }
-        fs.failed[i] = false;
-        fs.report.recovered_cores += 1;
-        if let Some(t) = fs.fail_since[i].take() {
-            fs.report.capacity_lost += now.saturating_since(t);
-        }
-        let ctl = &mut self.cores[i];
-        ctl.epoch += 1;
-        ctl.run = CoreRun::Idle;
-        ctl.halt_scheduled = false;
-        ctl.idle_notified = false;
-        self.idle.push(core);
-        self.newly_idle.push(core.0);
-        self.machine.set_activity(core, now, Activity::Idle);
-    }
-
-    fn push_settles(&mut self, effects: &AccelEffects) {
-        // The paper's safety property (§III-A): the *committed* fast-core
-        // count — cores whose target level is fast — never exceeds the
-        // power budget. Transient settled-level excursions bounded by the
-        // transition latency can still occur during swaps (exactly as in
-        // gem5's DVFS model, where a superseded down-ramp never dips); the
-        // commitment invariant is the one reconfiguration serialization
-        // protects.
-        debug_assert!(
-            self.machine.accelerated_count() <= self.cfg.fast_cores,
-            "committed budget exceeded: {} > {}",
-            self.machine.accelerated_count(),
-            self.cfg.fast_cores
-        );
-        for &(at, core) in &effects.settles {
-            self.events.push(at, Ev::DvfsSettle { core: core.0 });
-        }
-    }
-
-    fn make_ready(&mut self, task: TaskId, _now: SimTime) {
-        // Annotation-static estimators (the `+SA` configurations) equal
-        // the view's precomputed level array by definition; dynamic ones
-        // (bottom-level) and the always-zero baseline keep the virtual
-        // call.
-        let level = if self.est_static {
-            self.view.crit_level(task)
-        } else {
-            self.estimator.classify_level(self.graph, task)
-        };
-        self.crit[task.index()] = level > 0;
-        self.policy.enqueue(task, level);
-    }
-
-    /// Assign ready tasks to idle cores. CATS configurations offer idle
-    /// *fast* cores first (so critical tasks land on them); FIFO serves
-    /// cores in the order they went idle — the blind assignment the paper's
-    /// baseline suffers from. The walk follows the persistent [`IdleIndex`]
-    /// (same order the old candidate sort produced); assigning a core
-    /// unlinks it, and the outer loop re-walks until a full pass assigns
-    /// nothing — a slow core may only steal critical work once the pass
-    /// that drained the last idle fast core is over, exactly as before.
-    fn dispatch(&mut self, now: SimTime) {
-        // `policy.len() == 0` ⇒ `dequeue` cannot serve anyone; skip the
-        // walk entirely (the common case right after a milestone event).
-        while !self.policy.is_empty() {
-            let mut assigned = false;
-            let mut cur = self.idle.first();
-            while let Some(core) = cur {
-                // Capture the successor first: `assign` unlinks `core`.
-                let nxt = self.idle.next_after(core);
-                let ctx = DispatchCtx {
-                    fast_core_idle: self.idle.any_fast_available()
-                        && !self.is_fast_static[core.index()],
-                };
-                if self.policy.has_work_for(core, ctx) {
-                    if let Some(task) = self.policy.dequeue(core, ctx, &mut self.counters) {
-                        self.assign(core, task, now);
-                        assigned = true;
-                    }
-                }
-                cur = nxt;
-            }
-            if !assigned {
-                break;
-            }
-        }
-        // Cores that entered the idle loop since the last dispatch: arm the
-        // CATA deceleration debounce (§V-B deceleration fires only if the
-        // core is *still* idle after the delay) and the OS halt timer if
-        // configured. Only the cores on the `newly_idle` list are visited.
-        if !self.newly_idle.is_empty() {
-            // Ascending core order, as a scan over every core would push
-            // (a core listed twice is armed once: the flags guard it). The
-            // list holds at most one core after the first dispatch.
-            if self.newly_idle.len() > 1 {
-                self.newly_idle.sort_unstable();
-            }
-            for &i in &self.newly_idle {
-                let c = &mut self.cores[i as usize];
-                // Skip a listed core this dispatch already put to work.
-                if !matches!(c.run, CoreRun::Idle) {
-                    continue;
-                }
-                if !c.idle_notified {
-                    c.idle_notified = true;
-                    self.events.push(
-                        now + self.cfg.idle_decel_delay,
-                        Ev::IdleDecel {
-                            core: i,
-                            epoch: c.epoch,
-                        },
-                    );
-                }
-                if let Some(delay) = self.cfg.idle_to_halt {
-                    if !c.halt_scheduled {
-                        c.halt_scheduled = true;
-                        self.events.push(
-                            now + delay,
-                            Ev::IdleHalt {
-                                core: i,
-                                epoch: c.epoch,
-                            },
-                        );
-                    }
-                }
-            }
-            self.newly_idle.clear();
-        }
-        // Every entry into the idle loop must be on the list: no idle core
-        // may be left without its timers.
-        debug_assert!(
-            self.cores.iter().all(|c| !matches!(c.run, CoreRun::Idle)
-                || (c.idle_notified && (c.halt_scheduled || self.cfg.idle_to_halt.is_none()))),
-            "an idle core missed its idle-timer arming"
-        );
-    }
-
-    fn assign(&mut self, core: CoreId, task: TaskId, now: SimTime) {
-        // A displaced task landing on a survivor is a re-execution; the
-        // displacement→re-dispatch gap is its recovery latency.
-        if let Some(fs) = self.fault.as_mut() {
-            if let Some(at) = fs.displaced_at[task.index()].take() {
-                fs.report.reexecuted += 1;
-                fs.report.recovery_latency.record(now.saturating_since(at));
-            }
-        }
-        self.idle.remove(core);
-        let was_halted = matches!(self.cores[core.index()].run, CoreRun::Halted);
-        let ctl = &mut self.cores[core.index()];
-        ctl.epoch += 1;
-        ctl.halt_scheduled = false;
-        ctl.idle_notified = false;
-        let epoch = ctl.epoch;
-        ctl.run = CoreRun::Prologue { task };
-        self.machine.set_activity(core, now, Activity::Busy);
-
-        let mut t = now;
-        if was_halted {
-            self.trace.record(now, TraceEvent::Wake { core });
-            let e = self
-                .accel
-                .on_core_wake(core, now, &mut self.machine, &mut self.counters);
-            self.push_settles(&e);
-            t += self.cfg.wake_latency;
-        }
-        t += self.cfg.costs.dispatch;
-
-        let critical = self.crit[task.index()];
-        let e = self
-            .accel
-            .on_task_start(core, critical, t, &mut self.machine, &mut self.counters);
-        self.push_settles(&e);
-        let begin = e.resume_or(t);
-        self.events.push(
-            begin,
-            Ev::TaskBegin {
-                core: core.0,
-                epoch,
-            },
-        );
-    }
-
-    fn task_begin(&mut self, core: CoreId, epoch: u64, now: SimTime) {
-        let ctl = &mut self.cores[core.index()];
-        if ctl.epoch != epoch {
-            return; // stale
-        }
-        let CoreRun::Prologue { task } = ctl.run else {
-            return;
-        };
-        self.trace.record(
-            now,
-            TraceEvent::TaskStart {
-                core,
-                task: task.0,
-                critical: self.crit[task.index()],
-            },
-        );
-        self.gate_or_begin(core, task, now);
-    }
-
-    /// Routes a task about to execute through the shared-memory gate:
-    /// with no contended subsystem (or no memory demand) the body begins
-    /// immediately; otherwise the task acquires a bandwidth slot or parks
-    /// in [`CoreRun::MemWait`] until arbitration grants one. The slot is
-    /// held for the task's `mem_ps` of *wall* time (memory time is
-    /// frequency-invariant) while the body runs concurrently.
-    fn gate_or_begin(&mut self, core: CoreId, task: TaskId, now: SimTime) {
-        let mem_ps = self.view.mem_ps(task);
-        if self.mem.is_none() || mem_ps == 0 {
-            self.begin_body(core, task, now);
-            return;
-        }
-        let crit = self.crit[task.index()];
-        let ms = self.mem.as_mut().expect("gate only runs contended");
-        ms.report.requests += 1;
-        ms.report.demand += SimDuration::from_ps(mem_ps);
-        if crit {
-            ms.report.crit_requests += 1;
-        }
-        let sub = self
-            .machine
-            .memory_mut()
-            .expect("contended machine carries a memory subsystem");
-        if sub.try_acquire() {
-            ms.holding[core.index()] = true;
-            ms.report.serviced += SimDuration::from_ps(mem_ps);
-            let epoch = self.cores[core.index()].epoch;
-            self.events.push(
-                now + SimDuration::from_ps(mem_ps),
-                Ev::MemRelease {
-                    core: core.0,
-                    epoch,
-                },
-            );
-            self.begin_body(core, task, now);
-        } else {
-            sub.enqueue(core, u8::from(crit), mem_ps);
-            ms.report.waited += 1;
-            ms.wait_since[core.index()] = Some(now);
-            self.cores[core.index()].run = CoreRun::MemWait { task };
-        }
-    }
-
-    /// Starts the task body on `core` (prologue finished and, when
-    /// contended, the memory gate passed).
-    fn begin_body(&mut self, core: CoreId, task: TaskId, now: SimTime) {
-        let epoch = self.cores[core.index()].epoch;
-        let rt = RunningTask::start(
-            &self.graph.task(task).profile,
-            now,
-            self.machine.core(core).frequency(),
-        );
-        self.schedule_milestone(core, epoch, &rt);
-        self.cores[core.index()].run = CoreRun::Running { task, rt };
-    }
-
-    /// A granted task's memory hold expired: free the slot and let the
-    /// arbitration policy hand it to a waiter. Stale releases (the core
-    /// failed, bumping its epoch, or no longer holds) are ignored.
-    fn mem_release(&mut self, core: CoreId, epoch: u64, now: SimTime) {
-        if self.cores[core.index()].epoch != epoch {
-            return;
-        }
-        let Some(ms) = self.mem.as_mut() else {
-            return;
-        };
-        if !ms.holding[core.index()] {
-            return;
-        }
-        ms.holding[core.index()] = false;
-        self.machine
-            .memory_mut()
-            .expect("memory subsystem")
-            .release();
-        self.mem_grant(now);
-    }
-
-    /// Drains freed bandwidth slots into waiting cores — one arbitration
-    /// pick per free slot — recording each granted waiter's queueing
-    /// delay and starting its parked body.
-    fn mem_grant(&mut self, now: SimTime) {
-        loop {
-            let Some(ms) = self.mem.as_mut() else {
-                return;
-            };
-            let sub = self.machine.memory_mut().expect("memory subsystem");
-            let Some(req) = sub.grant(ms.policy.as_mut()) else {
-                return;
-            };
-            let core = req.core;
-            let wait = ms.wait_since[core.index()]
-                .take()
-                .map(|t| now.saturating_since(t))
-                .unwrap_or(SimDuration::ZERO);
-            ms.report.total_wait += wait;
-            ms.report.max_wait = ms.report.max_wait.max(wait);
-            if req.crit_level > 0 {
-                ms.report.crit_wait += wait;
-            }
-            ms.report.serviced += wait + SimDuration::from_ps(req.mem_ps);
-            ms.holding[core.index()] = true;
-            let epoch = self.cores[core.index()].epoch;
-            self.events.push(
-                now + SimDuration::from_ps(req.mem_ps),
-                Ev::MemRelease {
-                    core: core.0,
-                    epoch,
-                },
-            );
-            let CoreRun::MemWait { task } = self.cores[core.index()].run else {
-                debug_assert!(false, "granted {core} is not waiting on memory");
-                continue;
-            };
-            self.begin_body(core, task, now);
-        }
-    }
-
-    fn schedule_milestone(&mut self, core: CoreId, epoch: u64, rt: &RunningTask<'_>) {
-        if let Some(m) = rt.next_milestone() {
-            self.events.push(
-                m.time(),
-                Ev::Milestone {
-                    core: core.0,
-                    epoch,
-                    gen: rt.generation(),
-                },
-            );
-        }
-    }
-
-    fn milestone(&mut self, core: CoreId, epoch: u64, gen: u64, now: SimTime) {
-        let ctl = &mut self.cores[core.index()];
-        if ctl.epoch != epoch {
-            return;
-        }
-        let CoreRun::Running { task, ref mut rt } = ctl.run else {
-            return;
-        };
-        if rt.generation() != gen {
-            return; // superseded by a frequency change
-        }
-        match rt.advance_to(now) {
-            None => {
-                // Rounding left the milestone infinitesimally ahead;
-                // re-schedule from the refreshed projection. The progress
-                // model guarantees the new time is strictly later (a
-                // sub-picosecond residue counts as reached), so this cannot
-                // livelock.
-                let rt2 = *rt;
-                if let Some(m) = rt2.next_milestone() {
-                    debug_assert!(m.time() > now, "milestone did not advance");
-                }
-                self.schedule_milestone(core, epoch, &rt2);
-            }
-            Some(Milestone::Completion(_)) => self.complete(core, task, now),
-            Some(Milestone::BlockStart(_)) => {
-                let rt2 = *rt;
-                self.machine.set_activity(core, now, Activity::Halted);
-                self.counters.halts += 1;
-                self.trace.record(now, TraceEvent::Halt { core });
-                let e = self
-                    .accel
-                    .on_core_halt(core, now, &mut self.machine, &mut self.counters);
-                self.push_settles(&e);
-                self.schedule_milestone(core, epoch, &rt2);
-            }
-            Some(Milestone::BlockEnd(_)) => {
-                let rt2 = *rt;
-                self.machine.set_activity(core, now, Activity::Busy);
-                self.trace.record(now, TraceEvent::Wake { core });
-                let e = self
-                    .accel
-                    .on_core_wake(core, now, &mut self.machine, &mut self.counters);
-                self.push_settles(&e);
-                self.schedule_milestone(core, epoch, &rt2);
-            }
-        }
-    }
-
-    fn complete(&mut self, core: CoreId, task: TaskId, now: SimTime) {
-        // Transient task fault: the completion is discarded and the body
-        // re-executes in place, at most `max_retries` times per task (a
-        // p=1 schedule still terminates). One RNG draw per eligible
-        // completion, in event order — bit-identical per seed.
-        if let Some(fs) = self.fault.as_mut() {
-            if fs.spec.task_fault_p > 0.0
-                && fs.task_retries[task.index()] < fs.spec.max_retries
-                && fs.rng.next_unit() < fs.spec.task_fault_p
-            {
-                fs.task_retries[task.index()] += 1;
-                fs.report.task_faults += 1;
-                fs.report.reexecuted += 1;
-                // The re-execution re-demands memory, so it routes back
-                // through the gate like any fresh body (its earlier slot
-                // hold expired at `begin + mem_ps`, before completion).
-                self.gate_or_begin(core, task, now);
-                return;
-            }
-        }
-        self.trace
-            .record(now, TraceEvent::TaskEnd { core, task: task.0 });
-        self.counters.tasks_completed += 1;
-        self.done += 1;
-        self.last_completion = self.last_completion.max(now);
-        self.estimator.on_complete(self.graph, task);
-
-        // Successor walk over the view's CSR arrays: one contiguous span
-        // instead of a pointer chase into the task's own `succs` vector.
-        // The span is a `Copy` range, so `make_ready` can borrow `self`
-        // mutably between element reads.
-        for i in self.view.succ_span(task) {
-            let s = self.view.succ_at(i);
-            let d = &mut self.indegree[s.index()];
-            debug_assert!(*d > 0, "indegree underflow at {s}");
-            *d -= 1;
-            if *d == 0 && s.index() < self.submitted {
-                self.make_ready(s, now);
-            }
-        }
-
-        let epoch = self.cores[core.index()].epoch;
-        self.cores[core.index()].run = CoreRun::Epilogue;
-        let e = self
-            .accel
-            .on_task_end(core, now, &mut self.machine, &mut self.counters);
-        self.push_settles(&e);
-        self.events.push(
-            e.resume_or(now),
-            Ev::CoreFree {
-                core: core.0,
-                epoch,
-            },
-        );
-    }
-
-    fn core_free(&mut self, core: CoreId, epoch: u64, now: SimTime) {
-        let ctl = &mut self.cores[core.index()];
-        if ctl.epoch != epoch {
-            return;
-        }
-        debug_assert!(matches!(ctl.run, CoreRun::Epilogue));
-        ctl.run = CoreRun::Idle;
-        // Cores re-enter the idle index in completion order — the same
-        // FIFO "longest-idle pops first" order the old idle stamps encoded.
-        self.idle.push(core);
-        self.newly_idle.push(core.0);
-        self.machine.set_activity(core, now, Activity::Idle);
-        // The dispatch loop after this event hands out new work (or arms the
-        // idle-halt timer).
-    }
-
-    fn dvfs_settle(&mut self, core: CoreId, now: SimTime) {
-        // Transient reconfiguration-write failure: the settle re-fires
-        // after a retry penalty, at most `max_retries` times; exhausted
-        // writes are dropped and the core degrades to its current class.
-        if let Some(fs) = self.fault.as_mut() {
-            if fs.spec.reconfig_fail_p > 0.0 {
-                let i = core.index();
-                if fs.rng.next_unit() < fs.spec.reconfig_fail_p {
-                    fs.report.reconfig_faults += 1;
-                    if fs.settle_retries[i] < fs.spec.max_retries {
-                        fs.settle_retries[i] += 1;
-                        self.events
-                            .push(now + RECONFIG_RETRY_DELAY, Ev::DvfsSettle { core: core.0 });
-                    } else {
-                        fs.settle_retries[i] = 0;
-                        fs.report.reconfig_exhausted += 1;
-                    }
-                    return;
-                }
-                if fs.settle_retries[i] > 0 {
-                    fs.settle_retries[i] = 0;
-                    fs.report.reconfig_recovered += 1;
-                }
-            }
-        }
-        if let Some(level) = self.machine.settle(core, now) {
-            self.trace
-                .record(now, TraceEvent::ReconfigApplied { core, level });
-            let epoch = self.cores[core.index()].epoch;
-            if let CoreRun::Running { ref mut rt, .. } = self.cores[core.index()].run {
-                rt.set_frequency(now, level.frequency);
-                let rt2 = *rt;
-                self.schedule_milestone(core, epoch, &rt2);
-            }
-        }
-    }
-
-    fn idle_decel(&mut self, core: CoreId, epoch: u64, now: SimTime) {
-        let ctl = &self.cores[core.index()];
-        if ctl.epoch != epoch || !matches!(ctl.run, CoreRun::Idle | CoreRun::Halted) {
-            return; // got work (or a new idle period) in the meantime
-        }
-        let e = self
-            .accel
-            .on_core_idle(core, now, &mut self.machine, &mut self.counters);
-        self.push_settles(&e);
-    }
-
-    fn idle_halt(&mut self, core: CoreId, epoch: u64, now: SimTime) {
-        let ctl = &mut self.cores[core.index()];
-        if ctl.epoch != epoch || !matches!(ctl.run, CoreRun::Idle) {
-            return;
-        }
-        ctl.run = CoreRun::Halted;
-        ctl.halt_scheduled = false;
-        self.machine.set_activity(core, now, Activity::Halted);
-        self.counters.halts += 1;
-        self.trace.record(now, TraceEvent::Halt { core });
-        let e = self
-            .accel
-            .on_core_halt(core, now, &mut self.machine, &mut self.counters);
-        self.push_settles(&e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cata_sim::progress::ExecProfile;
+    use cata_sim::trace::TraceEvent;
+    use cata_tdg::TaskId;
 
     /// A small fork-join graph: src → 8 × work (4 critical) → sink.
     fn fork_join(work_cycles: u64) -> TaskGraph {
@@ -1518,7 +266,7 @@ mod tests {
                 &cfg.policy_params(),
             )
             .unwrap();
-        let err = run_with_scratch(&params, resolved, &g, "dead").unwrap_err();
+        let err = run_graph(&params, resolved, &g, "dead").unwrap_err();
         assert!(
             matches!(err, ExpError::Stalled(_)),
             "want Stalled, got: {err}"

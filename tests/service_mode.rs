@@ -1,13 +1,16 @@
 //! Service-mode (open-system) integration tests: golden determinism for
 //! a fixed-seed Poisson run, record→replay bit-identity, arrival
-//! conservation, and admission-policy behavior under overload.
+//! conservation, admission-policy behavior under overload, and a
+//! differential check of a one-instance tape against a closed run.
 
 use cata_core::exp::{default_registries, ScenarioSpec, WorkloadSpec};
 use cata_core::service::{
-    default_admission_registry, replay_tape, run_service, ArrivalSpec, ServiceSpec, TrafficTape,
+    default_admission_registry, replay_tape, run_service, ArrivalSpec, ServiceSpec, TapeRecord,
+    TrafficTape,
 };
-use cata_core::RunReport;
+use cata_core::{RunReport, SimExecutor};
 use cata_sim::time::SimDuration;
+use cata_workloads::{Benchmark, Scale};
 use proptest::prelude::*;
 
 const SEED: u64 = 42;
@@ -184,6 +187,85 @@ fn admission_policies_shed_under_overload() {
     // critical instance bypasses the shed gate entirely.
     let shed = overload("shed-noncritical");
     assert_eq!(shed.admitted + shed.dropped, shed.arrivals);
+}
+
+/// Differential oracle: a closed run with free task submission and a
+/// one-instance tape arriving at t=0 under admit-all are the same
+/// experiment, so they must agree bit for bit on makespan, energy,
+/// utilization and every counter but `sim_events` (the closed run also
+/// processes one submission event per task, and idle timers a
+/// submission-paced start leaves stale).
+///
+/// CATS+BL is left out: its bottom-level estimator re-classifies each
+/// task when it becomes ready in a closed run, while service mode uses
+/// levels precomputed over the fully submitted graph, so the two
+/// legitimately diverge (on dedup and fluidanimate).
+#[test]
+fn one_instance_tape_matches_closed_run() {
+    for bench in [
+        Benchmark::Dedup,
+        Benchmark::Fluidanimate,
+        Benchmark::Blackscholes,
+    ] {
+        let workload = WorkloadSpec::parsec(bench, Scale::Tiny, SEED);
+        for preset in ["FIFO", "CATS+SA", "CATA", "CATA+RSU", "TurboMode"] {
+            let mut spec = ScenarioSpec::preset(preset, 4, workload.clone())
+                .expect("preset")
+                .with_small_machine(8, 4);
+            spec.seed = SEED;
+            spec.costs.task_creation = SimDuration::ZERO;
+            spec.costs.per_bl_visit = SimDuration::ZERO;
+            let (closed, _) = SimExecutor::default()
+                .run_spec(&spec, default_registries())
+                .expect("closed run");
+
+            let mut tape = TrafficTape {
+                name: "one-instance".into(),
+                workloads: vec![workload.clone()],
+                records: vec![TapeRecord {
+                    at_ps: 0,
+                    workload: 0,
+                    tenant: 0,
+                }],
+                digest: String::new(),
+            };
+            tape.refresh_digest();
+            let service = ServiceSpec::new(
+                spec,
+                ArrivalSpec::Tape {
+                    digest: tape.digest.clone(),
+                },
+                SimDuration::from_ms(1),
+            );
+            let open = replay_tape(
+                &service,
+                &tape,
+                default_registries(),
+                default_admission_registry(),
+            )
+            .expect("open run");
+
+            let cell = format!("{preset} on {bench:?}");
+            assert_eq!(open.service.as_ref().unwrap().completed, 1, "{cell}");
+            assert_eq!(closed.exec_time, open.exec_time, "{cell}: makespan");
+            assert_eq!(
+                closed.energy.energy_j.to_bits(),
+                open.energy.energy_j.to_bits(),
+                "{cell}: energy"
+            );
+            assert_eq!(
+                closed.core_utilization, open.core_utilization,
+                "{cell}: utilization"
+            );
+            let mut counters = open.counters.clone();
+            counters.sim_events = closed.counters.sim_events;
+            assert_eq!(
+                serde_json::to_string(&closed.counters).unwrap(),
+                serde_json::to_string(&counters).unwrap(),
+                "{cell}: counters"
+            );
+        }
+    }
 }
 
 proptest! {
