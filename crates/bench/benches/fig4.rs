@@ -7,7 +7,6 @@
 //! compact reproduction record.
 
 use cata_bench::matrix::{run_one, DEFAULT_SEED};
-use cata_core::RunConfig;
 use cata_workloads::{Benchmark, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -15,15 +14,9 @@ fn fig4(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4");
     group.sample_size(10);
     for bench in Benchmark::all() {
-        let fifo = run_one(bench, RunConfig::fifo(16), Scale::Small, DEFAULT_SEED);
-        for cfg_of in [
-            RunConfig::cats_bl as fn(usize) -> RunConfig,
-            RunConfig::cats_sa,
-            RunConfig::cata,
-        ] {
-            let cfg = cfg_of(16);
-            let label = cfg.label.clone();
-            let r = run_one(bench, cfg.clone(), Scale::Small, DEFAULT_SEED);
+        let fifo = run_one(bench, "FIFO", 16, Scale::Small, DEFAULT_SEED);
+        for label in ["CATS+BL", "CATS+SA", "CATA"] {
+            let r = run_one(bench, label, 16, Scale::Small, DEFAULT_SEED);
             println!(
                 "fig4 {:<14} {:<8}: speedup {:.3}  norm-EDP {:.3}",
                 bench.name(),
@@ -31,9 +24,13 @@ fn fig4(c: &mut Criterion) {
                 r.speedup_over(&fifo),
                 r.edp_normalized_to(&fifo).unwrap_or(f64::NAN)
             );
-            group.bench_with_input(BenchmarkId::new(label, bench.name()), &cfg, |b, cfg| {
-                b.iter(|| run_one(bench, cfg.clone(), Scale::Tiny, DEFAULT_SEED));
-            });
+            group.bench_with_input(
+                BenchmarkId::new(label, bench.name()),
+                &label,
+                |b, &label| {
+                    b.iter(|| run_one(bench, label, 16, Scale::Tiny, DEFAULT_SEED));
+                },
+            );
         }
     }
     group.finish();

@@ -757,11 +757,18 @@ fn print_help() {
 fn emit(opts: &Opts, name: &str, table: &Table, title: &str) {
     println!("== {title} ==\n{}", table.render());
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = format!("{dir}/{name}.csv");
-        std::fs::write(&path, table.to_csv()).expect("write csv");
-        println!("[wrote {path}]");
+        write_csv(dir, name, &table.to_csv());
     }
+}
+
+/// Writes `csv` to `DIR/NAME.csv`, creating `dir` first. An unwritable
+/// `--csv` target is reported like any other bad argument.
+fn write_csv(dir: &str, name: &str, csv: &str) {
+    let path = format!("{dir}/{name}.csv");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, csv))
+        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    println!("[wrote {path}]");
 }
 
 fn load_spec(path: &str) -> ScenarioSpec {
@@ -1072,10 +1079,7 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
         }
     }
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = format!("{dir}/runs.csv");
-        std::fs::write(&path, report_table(&ok).to_csv()).expect("write csv");
-        println!("[wrote {path}]");
+        write_csv(dir, "runs", &report_table(&ok).to_csv());
     }
     if failed > 0 {
         std::process::exit(1);
@@ -1374,10 +1378,7 @@ fn merge_stores(opts: &Opts) {
         render_figure_from_records(opts, fig, &merged.records);
     }
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = format!("{dir}/merged.csv");
-        std::fs::write(&path, table.to_csv()).expect("write csv");
-        println!("[wrote {path}]");
+        write_csv(dir, "merged", &table.to_csv());
     }
     if let Some(out) = &opts.out {
         ResultsStore::write_all(out, &merged.records).unwrap_or_else(|e| die(&e.to_string()));
@@ -2049,7 +2050,8 @@ fn main() {
             }
             print!("{}", report.render());
             let out = opts.out.as_deref().unwrap_or("BENCH_engine.json");
-            std::fs::write(out, report.to_json_pretty()).expect("write perf report");
+            std::fs::write(out, report.to_json_pretty())
+                .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
             println!("[wrote {out}]");
             if let Some(path) = &opts.trajectory {
                 cata_bench::perf::append_trajectory(path, &report)

@@ -25,4 +25,4 @@ pub mod perf;
 pub mod sweeps;
 pub mod tables;
 
-pub use matrix::{cell_spec, run_matrix, run_matrix_on, run_one, run_spec, MatrixResult};
+pub use matrix::{run_matrix, run_matrix_on, run_one, run_spec, MatrixResult};

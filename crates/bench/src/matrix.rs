@@ -7,7 +7,7 @@
 //! free.
 
 use cata_core::exp::{CellRecord, Executor, Scenario, Suite};
-use cata_core::{RunConfig, RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
+use cata_core::{RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
 use cata_workloads::{Benchmark, Scale};
 use std::collections::HashMap;
 
@@ -123,11 +123,6 @@ impl MatrixResult {
     }
 }
 
-/// The spec of one matrix cell: `config` on `bench` at `scale`.
-pub fn cell_spec(bench: Benchmark, config: &RunConfig, scale: Scale, seed: u64) -> ScenarioSpec {
-    config.to_spec(WorkloadSpec::parsec(bench, scale, seed))
-}
-
 /// Runs one spec on the simulator backend.
 pub fn run_spec(spec: ScenarioSpec) -> RunReport {
     Scenario::from_spec(spec)
@@ -135,9 +130,21 @@ pub fn run_spec(spec: ScenarioSpec) -> RunReport {
         .unwrap_or_else(|e| panic!("scenario failed: {e}"))
 }
 
-/// Runs one cell: `config` on `bench` at `scale`.
-pub fn run_one(bench: Benchmark, config: RunConfig, scale: Scale, seed: u64) -> RunReport {
-    run_spec(cell_spec(bench, &config, scale, seed))
+/// Runs one cell: paper preset `label` with `fast_cores` on `bench` at
+/// `scale`.
+///
+/// # Panics
+/// Panics on a label outside
+/// [`PAPER_PRESETS`](cata_core::exp::spec::PAPER_PRESETS).
+pub fn run_one(
+    bench: Benchmark,
+    label: &str,
+    fast_cores: usize,
+    scale: Scale,
+    seed: u64,
+) -> RunReport {
+    let workload = WorkloadSpec::parsec(bench, scale, seed);
+    run_spec(ScenarioSpec::preset(label, fast_cores, workload).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Runs `configs` on every benchmark at every fast-core count, fanning the

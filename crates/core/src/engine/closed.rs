@@ -2,7 +2,7 @@
 //! order by the runtime's master thread.
 
 use super::{Engine, EngineScratch, Ev, TaskSource};
-use crate::config::RuntimeCosts;
+use crate::exp::spec::RuntimeCosts;
 use cata_sim::progress::ExecProfile;
 use cata_sim::time::{SimDuration, SimTime};
 use cata_tdg::criticality::CriticalityEstimator;

@@ -61,8 +61,9 @@ pub trait Executor: Send + Sync {
     /// The capture is taken *first*, and for the one workload kind with
     /// no stable content identity — an unpinned `File`, which re-reads
     /// its file on every build — the run executes the captured graph
-    /// itself (substituted [`WorkloadSpec::Inline`]
-    /// (super::spec::WorkloadSpec::Inline)), so the artifact and the
+    /// itself (substituted
+    /// [`WorkloadSpec::Inline`](super::spec::WorkloadSpec::Inline)), so
+    /// the artifact and the
     /// report can never describe different graphs even if the file is
     /// edited mid-run. Every other workload builds deterministically
     /// through the shared graph cache, so executing the original
@@ -126,11 +127,6 @@ impl SimExecutor {
     pub fn run_scenario_traced(&self, scenario: &Scenario) -> Result<(RunReport, Trace), ExpError> {
         self.run_spec(scenario.spec(), scenario.registries())
     }
-
-    /// Facade execution returning only the report.
-    pub fn run_scenario(&self, scenario: &Scenario) -> Result<RunReport, ExpError> {
-        self.execute(scenario)
-    }
 }
 
 /// Where a native run's joules come from.
@@ -173,7 +169,8 @@ static OVERLAP_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 /// workloads finish in test time.
 ///
 /// Energy: the runtime observes per-worker busy time at each frequency
-/// class and the executor prices it through the spec's [`PowerParams`]
+/// class and the executor prices it through the spec's
+/// [`PowerParams`](cata_power::PowerParams)
 /// calibration ([`Measurement::Modeled`]); when the host exposes readable
 /// RAPL counters the measured package joules are reported instead
 /// ([`Measurement::Rapl`]). Native runs therefore carry nonzero,

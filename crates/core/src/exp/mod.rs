@@ -12,9 +12,8 @@
 //!   [`CriticalityEstimator`](cata_tdg::criticality::CriticalityEstimator)
 //!   and [`AccelManager`](crate::accel::AccelManager). The six paper
 //!   configurations are pre-registered; third-party policies register a
-//!   closure under a new key and run everywhere, without touching core
-//!   enums (the enums remain as thin wrappers resolving through the same
-//!   registries).
+//!   closure under a new key and run everywhere, without touching any
+//!   core enum.
 //! - [`Executor`] — one call shape over every backend:
 //!   [`SimExecutor`](crate::SimExecutor) (deterministic discrete-event
 //!   simulation) and [`NativeExecutor`] (real threads + DVFS backend).

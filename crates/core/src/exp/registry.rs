@@ -1,17 +1,16 @@
 //! String-keyed registries of policy factories.
 //!
 //! The experiment facade resolves the three policy dimensions of a
-//! [`ScenarioSpec`](super::spec::ScenarioSpec) — scheduler, criticality
-//! estimator, acceleration manager — through these registries instead of
-//! matching on closed enums. The six paper configurations are
-//! pre-registered under [`PolicyRegistries::with_builtins`]; third-party
-//! policies register a factory closure under a new key and immediately work
-//! with every executor, the suite runner, and the bench harness, without
-//! touching `cata-core`'s enums (which remain as thin wrappers resolving
-//! through these same registries).
+//! [`ScenarioSpec`] — scheduler, criticality estimator, acceleration
+//! manager — through these registries instead of matching on closed enums.
+//! The six paper configurations are pre-registered under
+//! [`PolicyRegistries::with_builtins`]; third-party policies register a
+//! factory closure under a new key and immediately work with every
+//! executor, the suite runner, and the bench harness, without touching
+//! any closed enum.
 
 use super::error::ExpError;
-use super::spec::PolicyParams;
+use super::spec::{PolicyParams, ScenarioSpec};
 use crate::accel::{AccelManager, RsuCata, SoftwareCata, StaticAccel, TurboModeCtl};
 use crate::policy::{CatsPolicy, FifoPolicy, SchedulerPolicy};
 use cata_sim::machine::{Machine, MachineConfig};
@@ -369,6 +368,23 @@ impl PolicyRegistries {
             is_fast_static,
             caps,
         })
+    }
+
+    /// [`resolve`](Self::resolve) for a spec's policy keys, machine,
+    /// budget, seed and parameters — closed and service runs alike.
+    pub(crate) fn resolve_spec(&self, spec: &ScenarioSpec) -> Result<ResolvedPolicies, ExpError> {
+        let keys = PolicyKeys {
+            scheduler: spec.scheduler.clone(),
+            estimator: spec.estimator.clone(),
+            accel: spec.accel.clone(),
+        };
+        self.resolve(
+            &keys,
+            &spec.machine,
+            spec.fast_cores,
+            spec.seed,
+            &spec.params_or_default(),
+        )
     }
 }
 

@@ -6,7 +6,6 @@
 //! alone. JSON and TOML render the same structure.
 
 use super::error::ExpError;
-use crate::config::{RunConfig, RuntimeCosts};
 use cata_cpufreq::software_path::SoftwarePathParams;
 use cata_power::PowerParams;
 use cata_sim::machine::MachineConfig;
@@ -77,9 +76,9 @@ impl Deserialize for Backend {
 
 /// The workload a scenario runs: a PARSECSs-shaped generator or one of the
 /// micro-graphs with every generation parameter pinned — or, since the TDG
-/// capture & replay subsystem, a concrete task graph itself: [`Inline`]
-/// (WorkloadSpec::Inline) embeds a [`TdgFile`] in the spec, and [`File`]
-/// (WorkloadSpec::File) references a `.tdg.json` on disk pinned by its
+/// capture & replay subsystem, a concrete task graph itself:
+/// [`Inline`](WorkloadSpec::Inline) embeds a [`TdgFile`] in the spec, and
+/// [`File`](WorkloadSpec::File) references a `.tdg.json` on disk pinned by its
 /// content digest. Both replay through every executor, suite, shard and
 /// store path exactly like a generated workload (the TDG participates in
 /// the spec digest, so a cell's identity sees the graph's content).
@@ -452,8 +451,9 @@ impl WorkloadSpec {
         Ok((graph, file))
     }
 
-    /// Panicking form of [`try_build_graph_shared`]
-    /// (Self::try_build_graph_shared), for callers whose workloads are
+    /// Panicking form of
+    /// [`try_build_graph_shared`](Self::try_build_graph_shared), for
+    /// callers whose workloads are
     /// generators by construction.
     pub fn build_graph_shared(&self) -> Arc<TaskGraph> {
         self.try_build_graph_shared()
@@ -536,6 +536,29 @@ impl WorkloadSpec {
     /// form (and does).
     pub fn cost_estimate(&self) -> u64 {
         self.try_cost_estimate().unwrap_or(0)
+    }
+}
+
+/// Runtime cost constants (Nanos++-scale).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RuntimeCosts {
+    /// Master-thread cost of creating/submitting one task (dependence
+    /// registration, allocation).
+    pub task_creation: SimDuration,
+    /// Extra creation cost per TDG node visited by the bottom-level
+    /// estimator's ancestor walk (the CATS+BL overhead, §V-A).
+    pub per_bl_visit: SimDuration,
+    /// Worker-side cost of dequeuing a task (scheduler critical section).
+    pub dispatch: SimDuration,
+}
+
+impl Default for RuntimeCosts {
+    fn default() -> Self {
+        RuntimeCosts {
+            task_creation: SimDuration::from_ns(800),
+            per_bl_visit: SimDuration::from_ns(250),
+            dispatch: SimDuration::from_ns(300),
+        }
     }
 }
 
@@ -715,23 +738,26 @@ impl ScenarioSpec {
     /// A spec running `workload` with every other knob at the FIFO-baseline
     /// defaults; use the builder or the presets for the paper matrix.
     pub fn new(name: impl Into<String>, workload: WorkloadSpec) -> Self {
-        let base = RunConfig::fifo(16);
         ScenarioSpec {
             name: name.into(),
             workload,
-            machine: base.machine,
-            fast_cores: base.fast_cores,
+            machine: MachineConfig::paper_table1(),
+            fast_cores: 16,
             scheduler: "fifo".to_string(),
             estimator: "none".to_string(),
             accel: "static-hetero".to_string(),
             params: None,
-            costs: base.costs,
-            idle_to_halt: base.idle_to_halt,
-            idle_decel_delay: base.idle_decel_delay,
-            wake_latency: base.wake_latency,
-            power: base.power,
-            trace: base.trace,
-            seed: base.seed,
+            costs: RuntimeCosts::default(),
+            idle_to_halt: None,
+            // §V-B: CATA decelerates a core only when "there are no other
+            // tasks ready", which a real runtime concludes after spinning a
+            // while — transient queue emptiness between dependent tasks
+            // must not trigger a reconfiguration pair.
+            idle_decel_delay: SimDuration::from_us(25),
+            wake_latency: SimDuration::from_us(1),
+            power: PowerParams::mcpat_22nm(),
+            trace: TraceMode::Off,
+            seed: 0xCA7A_2016,
             backend: Backend::Sim,
             faults: None,
             event_queue: None,
@@ -742,24 +768,68 @@ impl ScenarioSpec {
     /// One of the six paper configurations by figure label (`"FIFO"`,
     /// `"CATS+BL"`, `"CATS+SA"`, `"CATA"`, `"CATA+RSU"`, `"TurboMode"`).
     pub fn preset(name: &str, fast_cores: usize, workload: WorkloadSpec) -> Result<Self, ExpError> {
-        let cfg = match name {
-            "FIFO" => RunConfig::fifo(fast_cores),
-            "CATS+BL" => RunConfig::cats_bl(fast_cores),
-            "CATS+SA" => RunConfig::cats_sa(fast_cores),
-            "CATA" => RunConfig::cata(fast_cores),
-            "CATA+RSU" => RunConfig::cata_rsu(fast_cores),
-            "TurboMode" => RunConfig::turbo(fast_cores),
+        let (scheduler, estimator, accel, params, idle_to_halt) = match name {
+            // Blind queue on static fast/slow cores.
+            "FIFO" => ("fifo", "none", "static-hetero", None, None),
+            // Dual queues, bottom-level criticality, static cores.
+            "CATS+BL" => (
+                "cats",
+                "bottom-level",
+                "static-hetero",
+                Some(PolicyParams {
+                    alpha: Some(1.0),
+                    software_path: None,
+                }),
+                None,
+            ),
+            // Dual queues, static annotations, static cores.
+            "CATS+SA" => ("cats", "static-annotations", "static-hetero", None, None),
+            // Software-driven DVFS with the power budget set to `fast_cores`.
+            "CATA" => (
+                "cats-homogeneous",
+                "static-annotations",
+                "software-cata",
+                Some(PolicyParams {
+                    alpha: None,
+                    software_path: Some(SoftwarePathParams::paper_calibrated()),
+                }),
+                None,
+            ),
+            // As CATA, but reconfiguring through the hardware RSU.
+            "CATA+RSU" => ("cats-homogeneous", "static-annotations", "rsu", None, None),
+            // Nanos++ workers busy-wait in user space; only after the spin
+            // phase do they block on a futex, letting the OS idle task run
+            // `hlt` (C0 → C1). Until then the core spins — possibly at the
+            // accelerated level, which is the energy waste §V-D attributes
+            // to TurboMode ("it may accelerate … runtime idle-loops").
+            "TurboMode" => (
+                "fifo",
+                "none",
+                "turbo",
+                None,
+                Some(SimDuration::from_us(40)),
+            ),
             other => return Err(ExpError::UnknownPreset(other.to_string())),
         };
-        Ok(cfg.to_spec(workload))
+        Ok(ScenarioSpec {
+            fast_cores,
+            scheduler: scheduler.to_string(),
+            estimator: estimator.to_string(),
+            accel: accel.to_string(),
+            params,
+            idle_to_halt,
+            ..ScenarioSpec::new(name, workload)
+        })
     }
 
     /// All six paper configurations at one fast-core count, in figure
     /// order.
     pub fn paper_matrix(fast_cores: usize, workload: WorkloadSpec) -> Vec<Self> {
-        RunConfig::paper_matrix(fast_cores)
-            .into_iter()
-            .map(|cfg| cfg.to_spec(workload.clone()))
+        PAPER_PRESETS
+            .iter()
+            .map(|label| {
+                Self::preset(label, fast_cores, workload.clone()).expect("paper preset label")
+            })
             .collect()
     }
 
@@ -828,8 +898,7 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Shrinks the machine for unit tests (mirrors
-    /// [`RunConfig::with_small_machine`]).
+    /// Shrinks the machine for unit tests (`n` cores, `fast` fast/budget).
     pub fn with_small_machine(mut self, n: usize, fast: usize) -> Self {
         self.machine = MachineConfig::small_test(n);
         self.fast_cores = fast;

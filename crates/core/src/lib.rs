@@ -39,7 +39,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod accel;
-pub mod config;
 mod engine;
 pub mod exp;
 pub mod fault;
@@ -51,7 +50,6 @@ pub mod report;
 pub mod service;
 pub mod sim_exec;
 
-pub use config::{AccelKind, EstimatorKind, RunConfig, SchedulerKind};
 pub use exp::{
     CellRecord, Executor, ExpError, NativeExecutor, PolicyRegistries, ResultsStore, Scenario,
     ScenarioSpec, Suite, WorkloadSpec,

@@ -15,7 +15,7 @@ use super::tape::TrafficTape;
 use crate::engine::open::{workload_table, TapeArrivals};
 use crate::exp::error::ExpError;
 use crate::exp::progress::ProgressWriter;
-use crate::exp::registry::{PolicyKeys, PolicyRegistries};
+use crate::exp::registry::PolicyRegistries;
 use crate::exp::suite::derive_seed;
 use crate::report::RunReport;
 use crate::sim_exec::EngineParams;
@@ -100,18 +100,7 @@ pub fn replay_tape_observed(
             )));
         }
     }
-    let params = spec.base.params_or_default();
-    let resolved = registries.resolve(
-        &PolicyKeys {
-            scheduler: spec.base.scheduler.clone(),
-            estimator: spec.base.estimator.clone(),
-            accel: spec.base.accel.clone(),
-        },
-        &spec.base.machine,
-        spec.base.fast_cores,
-        spec.base.seed,
-        &params,
-    )?;
+    let resolved = registries.resolve_spec(&spec.base)?;
     let admission = admissions.build(
         &spec.admission,
         &spec.admission_params.clone().unwrap_or_default(),

@@ -2,20 +2,19 @@
 //! machine under one of the paper's six configurations and measures
 //! everything the figures need.
 //!
-//! [`SimExecutor`] resolves a configuration or a scenario spec into
-//! `EngineParams` and policies, then runs the discrete-event engine
+//! [`SimExecutor`] resolves a scenario spec into `EngineParams` and
+//! policies, then runs the discrete-event engine
 //! (`crate::engine`) with a closed-graph task source: the runtime's
 //! master thread submits the graph in program order. Service mode runs
 //! the same engine with an arrival-stream source instead (see
 //! [`crate::service`]).
 //!
-//! Determinism: same config + same graph ⇒ bit-identical report.
+//! Determinism: same spec ⇒ bit-identical report.
 
-use crate::config::{RunConfig, RuntimeCosts};
 use crate::engine::{self, closed::ClosedGraph};
 use crate::exp::error::ExpError;
-use crate::exp::registry::{default_registries, PolicyRegistries, ResolvedPolicies};
-use crate::exp::spec::ScenarioSpec;
+use crate::exp::registry::{PolicyRegistries, ResolvedPolicies};
+use crate::exp::spec::{RuntimeCosts, ScenarioSpec};
 use crate::fault::FaultSpec;
 use crate::mem::MemorySpec;
 use crate::report::RunReport;
@@ -26,9 +25,7 @@ use cata_sim::time::SimDuration;
 use cata_sim::trace::{Trace, TraceMode};
 use cata_tdg::TaskGraph;
 
-/// Every non-policy knob the engine needs: the common denominator of
-/// [`RunConfig`] (the enum-based compat surface) and
-/// [`ScenarioSpec`](crate::exp::ScenarioSpec) (the registry-keyed facade).
+/// Every non-policy knob the engine needs, taken from a [`ScenarioSpec`].
 #[derive(Debug, Clone)]
 pub(crate) struct EngineParams {
     pub label: String,
@@ -46,28 +43,6 @@ pub(crate) struct EngineParams {
     /// Contended shared-memory model; `None` (or a noop spec, filtered at
     /// construction) keeps the uncontended legacy machine bit-identical.
     pub memory: Option<MemorySpec>,
-}
-
-impl From<&RunConfig> for EngineParams {
-    fn from(cfg: &RunConfig) -> Self {
-        EngineParams {
-            label: cfg.label.clone(),
-            machine: cfg.machine.clone(),
-            fast_cores: cfg.fast_cores,
-            costs: cfg.costs,
-            idle_to_halt: cfg.idle_to_halt,
-            idle_decel_delay: cfg.idle_decel_delay,
-            wake_latency: cfg.wake_latency,
-            power: cfg.power.clone(),
-            trace: cfg.trace,
-            seed: cfg.seed,
-            // The enum-based compat surface predates fault injection;
-            // faulted runs go through `ScenarioSpec`.
-            faults: None,
-            event_queue: cata_sim::event::default_backend(),
-            memory: None,
-        }
-    }
 }
 
 impl EngineParams {
@@ -109,61 +84,15 @@ fn run_graph(
     })
 }
 
-/// The discrete-event executor.
-///
-/// Two ways to drive it:
-///
-/// - **Legacy, enum-based**: [`SimExecutor::new`] with a [`RunConfig`],
-///   then [`run`](Self::run) with a pre-built graph. The enums resolve
-///   through the default policy registries.
-/// - **Facade**: a default-constructed `SimExecutor` implements
-///   [`Executor`](crate::exp::Executor); a
-///   [`Scenario`](crate::exp::Scenario) fully describes the run (machine,
-///   workload, policies, seed), and
-///   [`run_scenario`](Self::run_scenario) /
-///   [`run_scenario_traced`](Self::run_scenario_traced) execute it.
+/// The discrete-event executor. It implements
+/// [`Executor`](crate::exp::Executor): a
+/// [`Scenario`](crate::exp::Scenario) fully describes the run (machine,
+/// workload, policies, seed), and [`run_spec`](Self::run_spec) executes
+/// a spec directly, returning its trace too.
 #[derive(Debug, Default)]
-pub struct SimExecutor {
-    cfg: Option<RunConfig>,
-}
+pub struct SimExecutor {}
 
 impl SimExecutor {
-    /// Creates an executor bound to one enum-based configuration.
-    pub fn new(cfg: RunConfig) -> Self {
-        SimExecutor { cfg: Some(cfg) }
-    }
-
-    /// The bound configuration, if any (`None` for a pure facade backend).
-    pub fn config(&self) -> Option<&RunConfig> {
-        self.cfg.as_ref()
-    }
-
-    /// Runs `graph` to completion and reports. `workload` is a label.
-    ///
-    /// # Panics
-    /// Panics if no [`RunConfig`] is bound, the configuration is
-    /// inconsistent (budget > cores), or the simulation deadlocks (a
-    /// task-graph bug).
-    pub fn run(&self, graph: &TaskGraph, workload: &str) -> (RunReport, Trace) {
-        let cfg = self
-            .cfg
-            .as_ref()
-            .expect("SimExecutor::run requires a RunConfig; use run_scenario for specs");
-        let resolved = default_registries()
-            .resolve(
-                &cfg.policy_keys(),
-                &cfg.machine,
-                cfg.fast_cores,
-                cfg.seed,
-                &cfg.policy_params(),
-            )
-            .unwrap_or_else(|e| panic!("RunConfig `{}` failed to resolve: {e}", cfg.label));
-        // RunConfig carries no fault schedule, so the engine is infallible
-        // on this path.
-        run_graph(&EngineParams::from(cfg), resolved, graph, workload)
-            .expect("fault-free runs cannot fail")
-    }
-
     /// Executes a scenario spec end to end: resolves its policy keys
     /// through `registries`, generates its workload, simulates, reports.
     pub fn run_spec(
@@ -172,14 +101,7 @@ impl SimExecutor {
         registries: &PolicyRegistries,
     ) -> Result<(RunReport, Trace), ExpError> {
         spec.validate()?;
-        let keys = crate::exp::registry::PolicyKeys {
-            scheduler: spec.scheduler.clone(),
-            estimator: spec.estimator.clone(),
-            accel: spec.accel.clone(),
-        };
-        let params = spec.params_or_default();
-        let resolve =
-            || registries.resolve(&keys, &spec.machine, spec.fast_cores, spec.seed, &params);
+        let resolve = || registries.resolve_spec(spec);
         // Graph and report label come from one workload load, so a store
         // cell can never name a different revision of an unpinned TDG
         // file than the graph that actually ran.
@@ -207,6 +129,8 @@ impl SimExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::registry::default_registries;
+    use crate::exp::spec::{WorkloadSpec, PAPER_PRESETS};
     use cata_sim::progress::ExecProfile;
     use cata_sim::trace::TraceEvent;
     use cata_tdg::TaskId;
@@ -233,8 +157,20 @@ mod tests {
         g
     }
 
-    fn run_cfg(cfg: RunConfig, g: &TaskGraph) -> RunReport {
-        SimExecutor::new(cfg).run(g, "test").0
+    /// Paper preset `label` on an `n`-core test machine with `fast` fast
+    /// cores (and budget). Its workload is never built: the tests below
+    /// run hand-built graphs through [`run`].
+    fn preset(label: &str, n: usize, fast: usize) -> ScenarioSpec {
+        ScenarioSpec::preset(label, fast, WorkloadSpec::Chain { n: 0, cycles: 0 })
+            .expect("paper preset")
+            .with_small_machine(n, fast)
+    }
+
+    /// Runs `g` under `spec`'s machine, policies and knobs.
+    fn run(spec: &ScenarioSpec, g: &TaskGraph) -> (RunReport, Trace) {
+        let params = EngineParams::for_spec(spec).unwrap();
+        let resolved = default_registries().resolve_spec(spec).unwrap();
+        run_graph(&params, resolved, g, "test").unwrap()
     }
 
     /// Spec validation rejects schedules that kill every core up front;
@@ -245,8 +181,8 @@ mod tests {
     fn all_cores_dead_terminates_with_stalled_error() {
         use crate::fault::{CoreFailure, FaultSpec};
         let g = fork_join(2_000_000);
-        let cfg = RunConfig::fifo(2).with_small_machine(4, 2);
-        let mut params = EngineParams::from(&cfg);
+        let spec = preset("FIFO", 4, 2);
+        let mut params = EngineParams::for_spec(&spec).unwrap();
         params.faults = Some(FaultSpec {
             core_failures: (0..4)
                 .map(|core| CoreFailure {
@@ -257,15 +193,7 @@ mod tests {
                 .collect(),
             ..FaultSpec::default()
         });
-        let resolved = default_registries()
-            .resolve(
-                &cfg.policy_keys(),
-                &cfg.machine,
-                cfg.fast_cores,
-                cfg.seed,
-                &cfg.policy_params(),
-            )
-            .unwrap();
+        let resolved = default_registries().resolve_spec(&spec).unwrap();
         let err = run_graph(&params, resolved, &g, "dead").unwrap_err();
         assert!(
             matches!(err, ExpError::Stalled(_)),
@@ -277,7 +205,7 @@ mod tests {
     #[test]
     fn fifo_executes_all_tasks() {
         let g = fork_join(2_000_000);
-        let r = run_cfg(RunConfig::fifo(2).with_small_machine(4, 2), &g);
+        let r = run(&preset("FIFO", 4, 2), &g).0;
         assert_eq!(r.tasks, 10);
         assert_eq!(r.counters.tasks_completed, 10);
         assert!(r.exec_time > SimDuration::ZERO);
@@ -287,9 +215,8 @@ mod tests {
     #[test]
     fn all_six_configs_complete_identical_task_sets() {
         let g = fork_join(1_000_000);
-        for cfg in RunConfig::paper_matrix(2) {
-            let label = cfg.label.clone();
-            let r = run_cfg(cfg.with_small_machine(4, 2), &g);
+        for label in PAPER_PRESETS {
+            let r = run(&preset(label, 4, 2), &g).0;
             assert_eq!(r.counters.tasks_completed, 10, "{label} lost tasks");
         }
     }
@@ -297,8 +224,8 @@ mod tests {
     #[test]
     fn determinism_same_config_same_result() {
         let g = fork_join(500_000);
-        let a = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
-        let b = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
+        let a = run(&preset("CATA", 4, 2), &g).0;
+        let b = run(&preset("CATA", 4, 2), &g).0;
         assert_eq!(a.exec_time, b.exec_time);
         assert_eq!(a.energy.energy_j, b.energy.energy_j);
         assert_eq!(a.counters.reconfigs_applied, b.counters.reconfigs_applied);
@@ -307,8 +234,7 @@ mod tests {
     #[test]
     fn cata_reconfigures_and_respects_budget() {
         let g = fork_join(4_000_000);
-        let cfg = RunConfig::cata(2).with_small_machine(4, 2).with_trace();
-        let (r, trace) = SimExecutor::new(cfg).run(&g, "test");
+        let (r, trace) = run(&preset("CATA", 4, 2).with_trace(), &g);
         assert!(r.counters.reconfigs_applied > 0, "CATA must reconfigure");
         // Replay the trace: the number of cores whose *settled* level is
         // fast never exceeds the budget at any event. (A pending
@@ -327,8 +253,8 @@ mod tests {
     #[test]
     fn rsu_is_no_slower_than_software_cata() {
         let g = fork_join(2_000_000);
-        let sw = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
-        let hw = run_cfg(RunConfig::cata_rsu(2).with_small_machine(4, 2), &g);
+        let sw = run(&preset("CATA", 4, 2), &g).0;
+        let hw = run(&preset("CATA+RSU", 4, 2), &g).0;
         assert!(
             hw.exec_time <= sw.exec_time,
             "RSU {} slower than software {}",
@@ -342,7 +268,7 @@ mod tests {
     #[test]
     fn software_cata_charges_reconfig_overhead() {
         let g = fork_join(1_000_000);
-        let r = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
+        let r = run(&preset("CATA", 4, 2), &g).0;
         assert!(r.reconfig_overhead > SimDuration::ZERO);
         assert!(r.reconfig_time_share > 0.0);
         assert!(r.reconfig_latencies.count() > 0);
@@ -351,7 +277,7 @@ mod tests {
     #[test]
     fn turbo_mode_halts_idle_cores() {
         let g = fork_join(2_000_000);
-        let r = run_cfg(RunConfig::turbo(2).with_small_machine(4, 2), &g);
+        let r = run(&preset("TurboMode", 4, 2), &g).0;
         assert_eq!(r.counters.tasks_completed, 10);
         assert!(r.counters.halts > 0, "idle cores must halt under TurboMode");
     }
@@ -362,7 +288,7 @@ mod tests {
         let ty = g.add_type("io", 0);
         let p = ExecProfile::new(1_000_000, 0).with_block(0.5, SimDuration::from_us(200));
         g.add_task(ty, p, &[]);
-        let r = run_cfg(RunConfig::fifo(1).with_small_machine(2, 1), &g);
+        let r = run(&preset("FIFO", 2, 1), &g).0;
         assert!(r.counters.halts >= 1);
         assert_eq!(r.counters.tasks_completed, 1);
     }
@@ -370,15 +296,15 @@ mod tests {
     #[test]
     fn more_fast_cores_is_not_slower_under_fifo() {
         let g = fork_join(4_000_000);
-        let few = run_cfg(RunConfig::fifo(1).with_small_machine(4, 1), &g);
-        let many = run_cfg(RunConfig::fifo(4).with_small_machine(4, 4), &g);
+        let few = run(&preset("FIFO", 4, 1), &g).0;
+        let many = run(&preset("FIFO", 4, 4), &g).0;
         assert!(many.exec_time <= few.exec_time);
     }
 
     #[test]
     fn empty_graph_completes_instantly() {
         let g = TaskGraph::new();
-        let r = run_cfg(RunConfig::fifo(2).with_small_machine(4, 2), &g);
+        let r = run(&preset("FIFO", 4, 2), &g).0;
         assert_eq!(r.tasks, 0);
         assert_eq!(r.exec_time, SimDuration::ZERO);
     }
@@ -395,8 +321,8 @@ mod tests {
             let deps: Vec<TaskId> = prev.into_iter().collect();
             prev = Some(g.add_task(ty, ExecProfile::new(10_000_000, 0), &deps));
         }
-        let fifo = run_cfg(RunConfig::fifo(1).with_small_machine(4, 1), &g);
-        let cata = run_cfg(RunConfig::cata_rsu(1).with_small_machine(4, 1), &g);
+        let fifo = run(&preset("FIFO", 4, 1), &g).0;
+        let cata = run(&preset("CATA+RSU", 4, 1), &g).0;
         // FIFO dispatch prefers core 0 (fast) so both are similar here, but
         // CATA must never lose by more than the reconfiguration overhead.
         let ratio = cata.exec_time.as_ps() as f64 / fifo.exec_time.as_ps() as f64;
@@ -406,7 +332,7 @@ mod tests {
     #[test]
     fn utilization_is_sane() {
         let g = fork_join(2_000_000);
-        let r = run_cfg(RunConfig::fifo(2).with_small_machine(4, 2), &g);
+        let r = run(&preset("FIFO", 4, 2), &g).0;
         for &u in &r.core_utilization {
             assert!((0.0..=1.0).contains(&u));
         }

@@ -5,7 +5,7 @@
 
 use cata_core::exp::{Scenario, Suite};
 use cata_core::native::NativeRuntime;
-use cata_core::{RunConfig, RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
+use cata_core::{RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
 use cata_cpufreq::software_path::SoftwarePathParams;
 use cata_sim::time::SimDuration;
 use cata_sim::trace::{Trace, TraceEvent};
@@ -304,24 +304,6 @@ fn native_runtime_executes_a_generated_graph() {
         );
     }
     assert_eq!(rt.metrics().tasks_run as usize, graph.num_tasks());
-}
-
-/// The enum-based `RunConfig` compat surface resolves through the same
-/// registries as the spec path: both produce bit-identical reports.
-#[test]
-fn run_config_and_spec_paths_agree() {
-    let w = workload(Benchmark::Swaptions);
-    let graph = w.build_graph();
-    for cfg in RunConfig::paper_matrix(8) {
-        let legacy = SimExecutor::new(cfg.clone()).run(&graph, &w.label()).0;
-        let facade = run_spec(cfg.to_spec(w.clone()));
-        assert_eq!(legacy.exec_time, facade.exec_time, "{} diverged", cfg.label);
-        assert_eq!(legacy.energy.energy_j, facade.energy.energy_j);
-        assert_eq!(
-            legacy.counters.reconfigs_applied,
-            facade.counters.reconfigs_applied
-        );
-    }
 }
 
 /// The software path's §V-C statistics are present for CATA and absent for

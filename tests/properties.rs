@@ -1,11 +1,13 @@
 //! Property-based tests (proptest) over the core invariants, driven through
 //! randomly generated task graphs and event sequences.
 
-use cata_core::{RunConfig, SimExecutor};
+use cata_core::exp::spec::PAPER_PRESETS;
+use cata_core::exp::{default_registries, ScenarioSpec, WorkloadSpec};
+use cata_core::{RunReport, SimExecutor};
 use cata_rsu::engine::ReconfigEngine;
 use cata_sim::progress::{ExecProfile, RunningTask};
 use cata_sim::time::{Frequency, SimDuration, SimTime};
-use cata_sim::trace::TraceEvent;
+use cata_sim::trace::{Trace, TraceEvent};
 use cata_tdg::bottom_level::BottomLevels;
 use cata_tdg::deps::{AccessMode, DepTracker, RegionId};
 use cata_tdg::{TaskGraph, TaskId};
@@ -17,6 +19,30 @@ fn dag_params() -> impl Strategy<Value = (usize, f64, u64)> {
     (2usize..40, 0.02f64..0.4, any::<u64>())
 }
 
+/// A random DAG workload (`micro::random_dag` underneath).
+fn random_dag(n: usize, edge_p: f64, max_cycles: u64, seed: u64) -> WorkloadSpec {
+    WorkloadSpec::RandomDag {
+        n,
+        edge_p,
+        min_cycles: 10_000,
+        max_cycles,
+        seed,
+    }
+}
+
+/// Paper preset `label` on a 4-core test machine with `fast` fast cores.
+fn preset(label: &str, fast: usize, workload: WorkloadSpec) -> ScenarioSpec {
+    ScenarioSpec::preset(label, fast, workload)
+        .expect("paper preset")
+        .with_small_machine(4, fast)
+}
+
+fn run(spec: &ScenarioSpec) -> (RunReport, Trace) {
+    SimExecutor::default()
+        .run_spec(spec, default_registries())
+        .expect("run")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -24,10 +50,9 @@ proptest! {
     /// exactly once, whatever the graph shape.
     #[test]
     fn schedulers_conserve_tasks((n, p, seed) in dag_params()) {
-        let graph = micro::random_dag(n, p, 10_000, 2_000_000, seed);
-        for cfg in RunConfig::paper_matrix(2) {
-            let label = cfg.label.clone();
-            let r = SimExecutor::new(cfg.with_small_machine(4, 2)).run(&graph, "prop").0;
+        let w = random_dag(n, p, 2_000_000, seed);
+        for label in PAPER_PRESETS {
+            let r = run(&preset(label, 2, w.clone())).0;
             prop_assert_eq!(r.counters.tasks_completed, n as u64, "{} lost tasks", label);
         }
     }
@@ -38,9 +63,8 @@ proptest! {
     /// invariant is debug-asserted inside the executor on every event).
     #[test]
     fn budget_invariant_on_random_dags((n, p, seed) in dag_params()) {
-        let graph = micro::random_dag(n, p, 10_000, 2_000_000, seed);
-        let cfg = RunConfig::cata_rsu(2).with_small_machine(4, 2).with_trace();
-        let (_, trace) = SimExecutor::new(cfg).run(&graph, "prop");
+        let w = random_dag(n, p, 2_000_000, seed);
+        let (_, trace) = run(&preset("CATA+RSU", 2, w).with_trace());
         let mut fast = [false; 4];
         for rec in trace.records() {
             if let TraceEvent::ReconfigApplied { core, level } = rec.event {
@@ -54,10 +78,10 @@ proptest! {
     /// the fast frequency.
     #[test]
     fn exec_time_lower_bound((n, p, seed) in dag_params()) {
-        let graph = micro::random_dag(n, p, 10_000, 2_000_000, seed);
-        let bound = graph.critical_path_at(Frequency::from_ghz(2));
-        for cfg in [RunConfig::fifo(4), RunConfig::cata_rsu(4)] {
-            let r = SimExecutor::new(cfg.with_small_machine(4, 4)).run(&graph, "prop").0;
+        let w = random_dag(n, p, 2_000_000, seed);
+        let bound = w.build_graph().critical_path_at(Frequency::from_ghz(2));
+        for label in ["FIFO", "CATA+RSU"] {
+            let r = run(&preset(label, 4, w.clone())).0;
             prop_assert!(r.exec_time >= bound);
         }
     }
@@ -65,9 +89,9 @@ proptest! {
     /// Determinism over arbitrary graphs: two identical runs agree exactly.
     #[test]
     fn determinism_on_random_dags((n, p, seed) in dag_params()) {
-        let graph = micro::random_dag(n, p, 10_000, 500_000, seed);
-        let a = SimExecutor::new(RunConfig::cata(2).with_small_machine(4, 2)).run(&graph, "x").0;
-        let b = SimExecutor::new(RunConfig::cata(2).with_small_machine(4, 2)).run(&graph, "x").0;
+        let spec = preset("CATA", 2, random_dag(n, p, 500_000, seed));
+        let a = run(&spec).0;
+        let b = run(&spec).0;
         prop_assert_eq!(a.exec_time, b.exec_time);
         prop_assert_eq!(a.energy.energy_j, b.energy.energy_j);
     }
